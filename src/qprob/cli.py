@@ -13,16 +13,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import __version__
 from .engine import (
-    ProbabilityOperator,
+    ZERO_PROBABILITY_THRESHOLD,
+    _INVARIANTS,
+    JointProbabilityMatrix,
+    _correlation_report,
     born,
     branch_decompose,
     collapse,
     conditional,
-    correlation_check,
     joint_matrix,
     luder,
 )
@@ -32,8 +34,9 @@ from .errors import (
     ScenarioParseError,
     UnknownPresetError,
 )
-from .hilbert import structure_check
-from .observables import Observable, lift, validate_observable
+from .hilbert import INVARIANT_TOL
+from .lattice import CLASSICAL_SUM_TOL
+from .observables import Observable, lift
 from .render import FORMATS, RenderedTable, Report, TextLines, format_number, render_report
 from .scenario import PRESET_NAMES, Scenario, ScenarioObservable, load_file, load_preset
 from .weighting import Scheme, lifetime_distribution, net_table
@@ -56,7 +59,7 @@ COMMANDS = (
 
 @dataclass(frozen=True)
 class Options:
-    tol: float = 1e-10
+    tol: float = INVARIANT_TOL
     log_base: object = None  # None: scenario setting, else 2
     precision: int = 6
     given: str | None = None
@@ -65,6 +68,10 @@ class Options:
     obs: str | None = None
     rows: str | None = None
     cols: str | None = None
+
+
+# --log-base spellings and the base each selects.
+_LOG_BASES = {"2": 2, "e": "e"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,12 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
     source = common.add_mutually_exclusive_group(required=True)
     source.add_argument("--preset", choices=PRESET_NAMES, help="shipped scenario name")
     source.add_argument("--scenario", metavar="FILE", help="scenario file path")
-    common.add_argument("--tol", type=_positive_float, default=1e-10, metavar="X",
-                        help="tolerance for toleranced checks (default 1e-10)")
-    common.add_argument("--log-base", choices=["2", "e"], default=None,
+    common.add_argument("--tol", type=_positive_float, default=Options.tol, metavar="X",
+                        help="commutation tolerance of joint tables and tolerance of the correlation "
+                             "verdict (default %(default)s); validation reports use the fixed "
+                             "invariant tolerance")
+    common.add_argument("--log-base", choices=list(_LOG_BASES), default=Options.log_base,
                         help="entropy log base (default: scenario setting, else 2)")
-    common.add_argument("--precision", type=_positive_int, default=6, metavar="N",
-                        help="significant digits in text output (default 6)")
+    common.add_argument("--precision", type=_positive_int, default=Options.precision, metavar="N",
+                        help="significant digits in text output (default %(default)s)")
     common.add_argument("--format", choices=list(FORMATS), default="text",
                         help="output format (default text)")
 
@@ -162,10 +171,10 @@ def _observable(scn: Scenario, obs_id: str) -> ScenarioObservable:
         raise IncompatibleCommandError(exc.args[0]) from None
 
 
-def _lifted(scn: Scenario, sobs: ScenarioObservable) -> Observable:
+def _lifted(scn: Scenario, obs: Observable) -> Observable:
     if scn.composite is None:
-        return sobs.observable
-    return lift(sobs.observable, scn.composite)
+        return obs
+    return lift(obs, scn.composite)
 
 
 def _channel_ref(scn: Scenario, text: str, flag: str):
@@ -188,11 +197,6 @@ def _factor_observable(scn: Scenario, index: int, command: str) -> ScenarioObser
             f"({scn.composite.factors[index]})"
         )
     return found[0]
-
-
-def _state(scn: Scenario) -> ProbabilityOperator:
-    assert scn.state is not None
-    return scn.state
 
 
 def _log_base(scn: Scenario, opts: Options):
@@ -228,7 +232,7 @@ def _validation_sections(scn: Scenario, opts: Options) -> list:
         model = scn.classical
         lines = [
             f"kind: classical, {len(model.points)} sample points",
-            f"measure total residual: {abs(sum(model.measure) - 1.0):.3e} (tol 1e-12): ok",
+            f"measure total residual: {abs(sum(model.measure) - 1.0):.3e} (tol {CLASSICAL_SUM_TOL:.0e}): ok",
             f"all weights within [0, 1]: ok",
             f"events: {', '.join(e.id for e in scn.events) or '(none)'}",
         ]
@@ -241,26 +245,22 @@ def _validation_sections(scn: Scenario, opts: Options) -> list:
     lines.append(f"state space dimension: {scn.full_space.dim}")
     sections.append(TextLines(f"scenario '{scn.name}': valid", tuple(lines)))
 
-    m = scn.state.matrix
-    herm = structure_check(m, "hermitian", 1e-10)
-    psd = structure_check(m, "psd", 1e-10)
-    trace_residual = abs(m.trace() - 1.0)
+    # Every check reported here ran, and passed, when the scenario loaded.
     sections.append(TextLines(
         "state checks",
-        (
-            f"hermitian residual: {herm.residual:.3e} (tol 1e-10): ok",
-            f"unit-trace residual: {trace_residual:.3e} (tol 1e-10): ok",
-            f"positive semidefinite residual: {psd.residual:.3e} (tol 1e-10): ok",
+        tuple(
+            f"{_INVARIANTS[r.kind][1]} residual: {r.residual:.3e} (tol {r.tol:.0e}): ok"
+            for r in scn.state.checks
         ),
     ))
 
     for sobs in scn.observables:
-        report = validate_observable(sobs.observable)
+        report = sobs.validation
         ranks = ", ".join(str(ch.rank) for ch in sobs.observable.channels)
         lines = [
             f"channels: {', '.join(sobs.observable.labels)} (ranks {ranks})",
-            f"orthogonality residual: {report.orthogonality_residual:.3e} (tol 1e-10): ok",
-            f"completeness residual: {report.completeness_residual:.3e} (tol 1e-10): ok",
+            f"orthogonality residual: {report.orthogonality_residual:.3e} (tol {report.tol:.0e}): ok",
+            f"completeness residual: {report.completeness_residual:.3e} (tol {report.tol:.0e}): ok",
         ]
         if sobs.quantitative is not None:
             lines.append("channel values: " + ", ".join(format_number(v, opts.precision)
@@ -293,19 +293,22 @@ def _cmd_validate(scn: Scenario, opts: Options) -> Report:
     return Report(f"validate: scenario '{scn.name}'", tuple(_validation_sections(scn, opts)))
 
 
-def _correlation_section(scn: Scenario, opts: Options) -> TextLines:
+def _correlation_section(scn: Scenario, opts: Options, joint: tuple | None = None) -> TextLines:
+    """The correlation check between the first observables of the two
+    factors. `joint` is a (rows, cols, table) triple already computed; its
+    table is reused when it is for that same pair."""
     if scn.is_classical or scn.composite is None or len(scn.composite.factors) != 2:
         return TextLines("correlation check", ("not applicable: needs a two-factor quantum scenario",))
     rows = scn.observables_on_factor(0)
     cols = scn.observables_on_factor(1)
     if not rows or not cols:
         return TextLines("correlation check", ("not applicable: needs an observable on each factor",))
-    report = correlation_check(
-        _state(scn), _lifted(scn, rows[0]), _lifted(scn, cols[0]), tol=opts.tol
-    )
+    rows, cols = rows[0], cols[0]
+    jm = joint[2] if joint is not None and joint[:2] == (rows, cols) else _joint(scn, rows, cols, opts)
+    report = _correlation_report(jm, opts.tol)
     lines = [
-        f"observables: '{rows[0].id}' ({report.row_channels} channels) vs "
-        f"'{cols[0].id}' ({report.col_channels} channels)",
+        f"observables: '{rows.id}' ({report.row_channels} channels) vs "
+        f"'{cols.id}' ({report.col_channels} channels)",
         f"channel counts match: {'yes' if report.counts_match else 'no'}",
         f"off-diagonal joint mass: {report.off_diagonal_mass:.3e}",
         f"max conditional deviation from identity: {report.max_conditional_deviation:.3e}",
@@ -330,9 +333,9 @@ def _cmd_gross(scn: Scenario, opts: Options) -> Report:
         probs = [e.event.prob() for e in scn.events]
         sections.append(_probability_table("event probabilities", labels, probs))
     else:
-        state = _state(scn)
+        state = scn.state
         for sobs in scn.observables:
-            lifted = _lifted(scn, sobs)
+            lifted = _lifted(scn, sobs.observable)
             probs = [born(state, ch) for ch in lifted.channels]
             sections.append(_probability_table(
                 f"gross probabilities: observable '{sobs.id}'", lifted.labels, probs
@@ -356,26 +359,30 @@ def _joint_pair(scn: Scenario, opts: Options, command: str):
     return rows, cols
 
 
-def _joint_table(scn: Scenario, rows: ScenarioObservable, cols: ScenarioObservable,
-                 opts: Options, caption: str) -> RenderedTable:
-    jm = joint_matrix(_state(scn), _lifted(scn, rows), _lifted(scn, cols), tol=max(opts.tol, 1e-10))
+def _joint(scn: Scenario, rows: ScenarioObservable, cols: ScenarioObservable,
+           opts: Options) -> JointProbabilityMatrix:
+    # --tol sets the commutation tolerance, but never below the invariant tolerance.
+    return joint_matrix(scn.state, _lifted(scn, rows.observable), _lifted(scn, cols.observable),
+                        tol=max(opts.tol, INVARIANT_TOL))
+
+
+def _joint_table(rows: ScenarioObservable, cols: ScenarioObservable,
+                 jm: JointProbabilityMatrix, caption: str) -> RenderedTable:
     cells = tuple(tuple(_clamp(v) for v in row) for row in jm.values)
     return RenderedTable(caption, rows.observable.labels, cols.observable.labels, cells)
 
 
 def _cmd_joint(scn: Scenario, opts: Options) -> Report:
     rows, cols = _joint_pair(scn, opts, "joint")
-    table = _joint_table(
-        scn, rows, cols, opts,
-        f"joint probabilities: rows '{rows.id}', columns '{cols.id}'",
-    )
-    return Report(f"joint: scenario '{scn.name}'", (table, _correlation_section(scn, opts)))
+    jm = _joint(scn, rows, cols, opts)
+    table = _joint_table(rows, cols, jm, f"joint probabilities: rows '{rows.id}', columns '{cols.id}'")
+    return Report(f"joint: scenario '{scn.name}'", (table, _correlation_section(scn, opts, (rows, cols, jm))))
 
 
 def _cmd_conditional(scn: Scenario, opts: Options) -> Report:
     _require_quantum(scn, "conditional")
     _require_composite(scn, "conditional")
-    state = _state(scn)
+    state = scn.state
     if opts.given:
         sobs, index = _channel_ref(scn, opts.given, "--given")
         if opts.target:
@@ -385,8 +392,8 @@ def _cmd_conditional(scn: Scenario, opts: Options) -> Report:
             if not others:
                 raise IncompatibleCommandError("no observable on another factor to condition; pass --target")
             target = others[0]
-        given_event = _lifted(scn, sobs).channels[index]
-        probs = conditional(state, given_event, _lifted(scn, target))
+        given_event = _lifted(scn, sobs.observable).channels[index]
+        probs = conditional(state, given_event, _lifted(scn, target.observable))
         label = f"{sobs.id}:{sobs.observable.labels[index]}"
         table = RenderedTable(
             f"probabilities of '{target.id}' given '{label}'",
@@ -398,14 +405,14 @@ def _cmd_conditional(scn: Scenario, opts: Options) -> Report:
 
     rows = _factor_observable(scn, 0, "conditional")
     target = _factor_observable(scn, 1, "conditional")
-    lifted_rows = _lifted(scn, rows)
-    lifted_target = _lifted(scn, target)
+    lifted_rows = _lifted(scn, rows.observable)
+    lifted_target = _lifted(scn, target.observable)
     kept_labels = []
     cells = []
     skipped = []
     for label, ch in zip(lifted_rows.labels, lifted_rows.channels):
         p = born(state, ch)
-        if p <= 1e-12:
+        if p <= ZERO_PROBABILITY_THRESHOLD:
             skipped.append(label)
             continue
         probs = conditional(state, ch, lifted_target)
@@ -428,8 +435,8 @@ def _cmd_conditional(scn: Scenario, opts: Options) -> Report:
 def _cmd_collapse(scn: Scenario, opts: Options) -> Report:
     _require_quantum(scn, "collapse")
     sobs, index = _channel_ref(scn, opts.on, "--on")
-    event = _lifted(scn, sobs).channels[index]
-    result = collapse(_state(scn), event)
+    event = _lifted(scn, sobs.observable).channels[index]
+    result = collapse(scn.state, event)
     label = f"{sobs.id}:{sobs.observable.labels[index]}"
     lines = TextLines(
         "collapse",
@@ -445,8 +452,8 @@ def _cmd_collapse(scn: Scenario, opts: Options) -> Report:
 def _cmd_luder(scn: Scenario, opts: Options) -> Report:
     _require_quantum(scn, "luder")
     sobs = _observable(scn, opts.obs) if opts.obs else scn.observables[0]
-    lifted = _lifted(scn, sobs)
-    result = luder(_state(scn), lifted)
+    lifted = _lifted(scn, sobs.observable)
+    result = luder(scn.state, lifted)
     probs = [born(result, ch) for ch in lifted.channels]
     table = _probability_table(
         f"channel probabilities under the decohered operator (observable '{sobs.id}')",
@@ -460,9 +467,8 @@ def _cmd_luder(scn: Scenario, opts: Options) -> Report:
 def _cmd_branches(scn: Scenario, opts: Options) -> Report:
     _require_quantum(scn, "branches")
     sobs = _observable(scn, opts.obs) if opts.obs else scn.observables[0]
-    lifted = _lifted(scn, sobs)
-    source = scn.state_vector if scn.state_vector is not None else _state(scn)
-    bd = branch_decompose(source, lifted)
+    lifted = _lifted(scn, sobs.observable)
+    bd = branch_decompose(scn.state, lifted)
     sections: list = [_probability_table(
         f"branch probabilities (observable '{sobs.id}')", lifted.labels, bd.probabilities
     )]
@@ -487,7 +493,7 @@ def _cmd_net(scn: Scenario, opts: Options) -> Report:
     if scn.weighting is None:
         raise IncompatibleCommandError(f"scenario {scn.name!r} defines no weighting scheme")
     scheme = Scheme(scn.weighting.variant, _log_base(scn, opts))
-    state = _state(scn)
+    state = scn.state
 
     gross = []
     channel_labels = []
@@ -496,9 +502,7 @@ def _cmd_net(scn: Scenario, opts: Options) -> Report:
             raise IncompatibleCommandError(
                 f"observer {o.id!r} has no perception observable; gross probabilities are undefined"
             )
-        matches = [so for so in scn.observables if so.observable is o.observable]
-        sobs = matches[0] if matches else None
-        lifted = _lifted(scn, sobs) if sobs is not None else o.observable
+        lifted = _lifted(scn, o.observable)
         gross.append([born(state, ch) for ch in lifted.channels])
         channel_labels.append(lifted.labels)
     table = net_table(scheme, scn.observers, gross)
@@ -513,13 +517,11 @@ def _cmd_net(scn: Scenario, opts: Options) -> Report:
         by_factor = sorted(
             scn.observers, key=lambda o: scn.composite.factor_index(o.observable.space)
         )
-        row_matches = [so for so in scn.observables if so.observable is by_factor[0].observable]
-        col_matches = [so for so in scn.observables if so.observable is by_factor[1].observable]
-        if row_matches and col_matches:
-            sections.append(_joint_table(
-                scn, row_matches[0], col_matches[0], opts,
-                f"joint gross probabilities: rows '{row_matches[0].id}', columns '{col_matches[0].id}'",
-            ))
+        rows, cols = (scn.perceives[o.id] for o in by_factor)
+        sections.append(_joint_table(
+            rows, cols, _joint(scn, rows, cols, opts),
+            f"joint gross probabilities: rows '{rows.id}', columns '{cols.id}'",
+        ))
 
     if scheme.variant == "entropic":
         caption = (
@@ -617,17 +619,9 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         sys.stderr.write("qprob: error: a command is required\n")
         return 1
-    opts = Options(
-        tol=args.tol,
-        log_base={"2": 2, "e": "e", None: None}[args.log_base],
-        precision=args.precision,
-        given=getattr(args, "given", None),
-        target=getattr(args, "target", None),
-        on=getattr(args, "on", None),
-        obs=getattr(args, "obs", None),
-        rows=getattr(args, "rows", None),
-        cols=getattr(args, "cols", None),
-    )
+    values = vars(args) | {"log_base": _LOG_BASES.get(args.log_base)}
+    # Flags a command does not take are absent from its namespace.
+    opts = Options(**{f.name: values.get(f.name, f.default) for f in fields(Options)})
     try:
         scn = load_preset(args.preset) if args.preset else load_file(args.scenario)
         report = run_command(args.command, scn, opts)

@@ -12,23 +12,24 @@ the zero threshold is a loud error, never a silent NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SpaceMismatchError, StructureError, ZeroProbabilityError
 from .hilbert import (
+    INVARIANT_TOL,
     CompositeSpace,
     HilbertSpace,
     Op,
+    StructureReport,
     Vec,
-    cheb_norm,
     partial_trace,
     structure_check,
 )
 from .lattice import Eventuality
-from .observables import Observable
+from .observables import Observable, _require_commuting
 
 __all__ = [
     "HERMITIAN_TOL",
@@ -52,46 +53,56 @@ __all__ = [
 ]
 
 # Invariant tolerances for a probability operator.
-HERMITIAN_TOL = 1e-10
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
+HERMITIAN_TOL = INVARIANT_TOL
+TRACE_TOL = INVARIANT_TOL
+PSD_TOL = INVARIANT_TOL
 
 # Below this, an eventuality cannot be conditioned on.
 ZERO_PROBABILITY_THRESHOLD = 1e-12
+
+# Each probability-operator invariant, by report kind: what an operator
+# must do to pass it, and the invariant's name in validation reports.
+_INVARIANTS = {
+    "hermitian": ("be hermitian", "hermitian"),
+    "unit-trace": ("have unit trace", "unit-trace"),
+    "psd": ("be positive semidefinite", "positive semidefinite"),
+}
 
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityOperator:
     """A hermitian, unit-trace, positive semidefinite operator.
 
-    The invariants are enforced at construction: hermitian residual within
-    1e-10, trace within 1e-10 of 1, smallest eigenvalue above -1e-10.
+    The invariants are enforced at every construction, derived operators
+    included: hermitian residual within HERMITIAN_TOL, trace within
+    TRACE_TOL of 1, smallest eigenvalue above -PSD_TOL. The reports of
+    those checks are kept in `checks`, in that order.
     """
 
     space: HilbertSpace
     matrix: Op
+    checks: tuple[StructureReport, ...] = field(init=False)
 
     def __post_init__(self):
         if self.matrix.space != self.space:
             raise SpaceMismatchError(f"matrix on {self.matrix.space} does not live on {self.space}")
-        herm = structure_check(self.matrix, "hermitian", HERMITIAN_TOL)
-        if not herm:
-            raise StructureError(
-                f"probability operator must be hermitian: residual {herm.residual:.3e} exceeds {HERMITIAN_TOL:.0e}",
-                residual=herm.residual,
-            )
-        trace_residual = abs(self.matrix.trace() - 1.0)
-        if trace_residual > TRACE_TOL:
-            raise StructureError(
-                f"probability operator must have unit trace: residual {trace_residual:.3e} exceeds {TRACE_TOL:.0e}",
-                residual=trace_residual,
-            )
-        psd = structure_check(self.matrix, "psd", PSD_TOL)
-        if not psd:
-            raise StructureError(
-                f"probability operator must be positive semidefinite: residual {psd.residual:.3e} exceeds {PSD_TOL:.0e}",
-                residual=psd.residual,
-            )
+        passed = []
+        for report in self._invariant_checks():
+            if not report:
+                raise StructureError(
+                    f"probability operator must {_INVARIANTS[report.kind][0]}: "
+                    f"residual {report.residual:.3e} exceeds {report.tol:.0e}",
+                    residual=report.residual,
+                )
+            passed.append(report)
+        object.__setattr__(self, "checks", tuple(passed))
+
+    def _invariant_checks(self):
+        # A generator, so the first failure stops the rest: the PSD
+        # eigendecomposition never runs on a non-hermitian matrix.
+        yield structure_check(self.matrix, "hermitian", HERMITIAN_TOL)
+        yield StructureReport("unit-trace", abs(self.matrix.trace() - 1.0), TRACE_TOL)
+        yield structure_check(self.matrix, "psd", PSD_TOL)
 
     # -- constructors -------------------------------------------------
 
@@ -100,7 +111,7 @@ class ProbabilityOperator:
         return cls(space, Op(space, entries))
 
     @classmethod
-    def pure(cls, state: Vec, tol: float = 1e-10) -> "ProbabilityOperator":
+    def pure(cls, state: Vec, tol: float = INVARIANT_TOL) -> "ProbabilityOperator":
         state.require_unit(tol)
         return cls(state.space, state.outer(state))
 
@@ -179,11 +190,11 @@ class JointProbabilityMatrix:
         expected = (self.row_observable.channel_count, self.col_observable.channel_count)
         if arr.shape != expected:
             raise ValueError(f"joint matrix shape {arr.shape} does not match channel counts {expected}")
-        if float(arr.min()) < -1e-10:
+        if float(arr.min()) < -INVARIANT_TOL:
             raise ValueError(f"joint matrix has a negative entry: {float(arr.min()):.3e}")
         total_residual = abs(float(arr.sum()) - 1.0)
-        if total_residual > 1e-10:
-            raise ValueError(f"joint matrix must total 1: residual {total_residual:.3e} exceeds 1e-10")
+        if total_residual > INVARIANT_TOL:
+            raise ValueError(f"joint matrix must total 1: residual {total_residual:.3e} exceeds {INVARIANT_TOL:.0e}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -198,22 +209,14 @@ def joint_matrix(
     prob: ProbabilityOperator,
     rows: Observable,
     cols: Observable,
-    tol: float = 1e-10,
+    tol: float = INVARIANT_TOL,
 ) -> JointProbabilityMatrix:
     """Joint probability table over two observables on the operator's
     space. Every channel pair must commute within tol; a violation is
     rejected naming the pair."""
     if rows.space != prob.space or cols.space != prob.space:
         raise SpaceMismatchError("joint_matrix needs observables on the operator's space")
-    for la, ea in zip(rows.labels, rows.channels):
-        for lb, eb in zip(cols.labels, cols.channels):
-            pa, pb = ea.projector.entries, eb.projector.entries
-            r = cheb_norm(pa @ pb - pb @ pa)
-            if r > tol:
-                raise StructureError(
-                    f"channels {la!r} and {lb!r} do not commute: residual {r:.3e} exceeds {tol:.0e}",
-                    residual=r,
-                )
+    _require_commuting(rows, cols, tol)
     m = prob.matrix.entries
     out = np.empty((rows.channel_count, cols.channel_count), dtype=np.float64)
     for i, ea in enumerate(rows.channels):
@@ -282,9 +285,9 @@ def branch_decompose(
         raise SpaceMismatchError(f"observable on {obs.space} does not match state on {prob.space}")
     probs = [born(prob, ch) for ch in obs.channels]
     total_residual = abs(sum(probs) - 1.0)
-    if total_residual > 1e-10:
+    if total_residual > INVARIANT_TOL:
         raise ValueError(
-            f"channel probabilities must total 1: residual {total_residual:.3e} exceeds 1e-10 "
+            f"channel probabilities must total 1: residual {total_residual:.3e} exceeds {INVARIANT_TOL:.0e} "
             "(is the observable complete?)"
         )
     posteriors: list[ProbabilityOperator | None] = []
@@ -303,7 +306,7 @@ def branch_decompose(
     )
 
 
-def heisenberg_transport(x, u: Op, tol: float = 1e-10):
+def heisenberg_transport(x, u: Op, tol: float = INVARIANT_TOL):
     """Transport an eventuality or observable by a unitary: the projector
     maps to u^dag P u, so the basis columns map by u^dag. Non-unitary
     input is rejected with its residual."""
@@ -316,7 +319,7 @@ def heisenberg_transport(x, u: Op, tol: float = 1e-10):
     if isinstance(x, Eventuality):
         if x.space != u.space:
             raise SpaceMismatchError(f"eventuality on {x.space} does not match unitary on {u.space}")
-        return Eventuality.from_orthonormal(x.space, u.entries.conj().T @ x.basis_matrix)
+        return Eventuality(x.space, u.entries.conj().T @ x.basis_matrix)
     if isinstance(x, Observable):
         channels = tuple(heisenberg_transport(ch, u, tol) for ch in x.channels)
         return Observable(x.space, channels, x.labels)
@@ -356,14 +359,24 @@ def correlation_check(
     prob: ProbabilityOperator,
     rows: Observable,
     cols: Observable,
-    tol: float = 1e-10,
+    tol: float = INVARIANT_TOL,
     threshold: float = ZERO_PROBABILITY_THRESHOLD,
 ) -> CorrelationReport:
     """Measure how close two observables come to perfect correlation
     under a state: off-diagonal joint mass and the worst deviation of the
     conditional table from the identity. Rows whose marginal is at or
     below the zero threshold are skipped and reported."""
-    jm = joint_matrix(prob, rows, cols, tol=max(tol, 1e-10))
+    jm = joint_matrix(prob, rows, cols, tol=max(tol, INVARIANT_TOL))
+    return _correlation_report(jm, tol, threshold)
+
+
+def _correlation_report(
+    jm: JointProbabilityMatrix,
+    tol: float,
+    threshold: float = ZERO_PROBABILITY_THRESHOLD,
+) -> CorrelationReport:
+    """The arithmetic of `correlation_check`, on a joint table already
+    computed."""
     n, k = jm.values.shape
     off_mass = float(jm.values.sum() - np.trace(jm.values[: min(n, k), : min(n, k)]))
     marginals = jm.row_marginals()

@@ -9,6 +9,7 @@ their defining residual in the Chebyshev (max absolute entry) norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from string import ascii_lowercase
@@ -24,12 +25,17 @@ __all__ = [
     "CompositeSpace",
     "StructureReport",
     "STRUCTURE_KINDS",
+    "INVARIANT_TOL",
     "cheb_norm",
     "commutator",
     "tensor",
     "partial_trace",
     "structure_check",
 ]
+
+# The one tolerance for every structural invariant in the package: the
+# probability-operator checks, rank cut-offs, orthogonality and sum rules.
+INVARIANT_TOL = 1e-10
 
 
 def cheb_norm(a) -> float:
@@ -100,10 +106,10 @@ class Vec:
         _require_same_space(self.space, other.space, "outer product")
         return Op(self.space, np.outer(self.components, other.components.conj()))
 
-    def is_unit(self, tol: float = 1e-10) -> bool:
+    def is_unit(self, tol: float = INVARIANT_TOL) -> bool:
         return abs(self.norm() ** 2 - 1.0) <= tol
 
-    def require_unit(self, tol: float = 1e-10) -> "Vec":
+    def require_unit(self, tol: float = INVARIANT_TOL) -> "Vec":
         residual = abs(self.norm() ** 2 - 1.0)
         if residual > tol:
             raise StructureError(
@@ -157,7 +163,7 @@ class Op:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def allclose(self, other: "Op", tol: float = 1e-10) -> bool:
+    def allclose(self, other: "Op", tol: float = INVARIANT_TOL) -> bool:
         _require_same_space(self.space, other.space, "operator comparison")
         return cheb_norm(self.entries - other.entries) <= tol
 
@@ -198,10 +204,10 @@ def commutator(a: Op, b: Op) -> Op:
     return Op(a.space, a.entries @ b.entries - b.entries @ a.entries)
 
 
-def _product_label(a: HilbertSpace, b: HilbertSpace) -> str:
+def _product_space(*factors: HilbertSpace) -> HilbertSpace:
     # Flat join keeps labels associative, matching entrywise associativity
     # of the Kronecker product. ASCII so CLI output is locale-independent.
-    return f"{a}*{b}"
+    return HilbertSpace(math.prod(f.dim for f in factors), "*".join(str(f) for f in factors))
 
 
 @dataclass(frozen=True)
@@ -220,13 +226,7 @@ class CompositeSpace:
 
     @cached_property
     def space(self) -> HilbertSpace:
-        dim = 1
-        for f in self.factors:
-            dim *= f.dim
-        label = str(self.factors[0])
-        for f in self.factors[1:]:
-            label = f"{label}*{f}"
-        return HilbertSpace(dim, label)
+        return _product_space(*self.factors)
 
     @property
     def dim(self) -> int:
@@ -237,16 +237,10 @@ class CompositeSpace:
         return tuple(f.dim for f in self.factors)
 
     def dim_before(self, index: int) -> int:
-        out = 1
-        for f in self.factors[:index]:
-            out *= f.dim
-        return out
+        return math.prod(f.dim for f in self.factors[:index])
 
     def dim_after(self, index: int) -> int:
-        out = 1
-        for f in self.factors[index + 1:]:
-            out *= f.dim
-        return out
+        return math.prod(f.dim for f in self.factors[index + 1:])
 
     def factor_index(self, space: HilbertSpace) -> int:
         """Resolve the unique factor equal to `space`; ambiguity is an error."""
@@ -262,11 +256,9 @@ def tensor(a, b):
     """Kronecker product of two vectors or two operators (row-major:
     the first argument is the slow index)."""
     if isinstance(a, Vec) and isinstance(b, Vec):
-        space = HilbertSpace(a.space.dim * b.space.dim, _product_label(a.space, b.space))
-        return Vec(space, np.kron(a.components, b.components))
+        return Vec(_product_space(a.space, b.space), np.kron(a.components, b.components))
     if isinstance(a, Op) and isinstance(b, Op):
-        space = HilbertSpace(a.space.dim * b.space.dim, _product_label(a.space, b.space))
-        return Op(space, np.kron(a.entries, b.entries))
+        return Op(_product_space(a.space, b.space), np.kron(a.entries, b.entries))
     raise TypeError("tensor expects two Vec or two Op arguments")
 
 
@@ -312,7 +304,7 @@ class StructureReport:
         return self.passed
 
 
-def structure_check(m: Op, kind: str, tol: float = 1e-10) -> StructureReport:
+def structure_check(m: Op, kind: str, tol: float = INVARIANT_TOL) -> StructureReport:
     """Check a structural predicate and report its defining residual.
 
     Residuals (Chebyshev norm):

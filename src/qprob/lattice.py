@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SpaceMismatchError, StructureError
-from .hilbert import HilbertSpace, Op, Vec, cheb_norm, structure_check
+from .hilbert import INVARIANT_TOL, HilbertSpace, Op, Vec, cheb_norm, structure_check
 
 __all__ = [
     "RANK_TOL",
@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 # Default threshold below which a residual direction counts as rank zero.
-RANK_TOL = 1e-10
+RANK_TOL = INVARIANT_TOL
 
 # A classical measure must total 1 within this.
 CLASSICAL_SUM_TOL = 1e-12
@@ -81,8 +81,10 @@ def _as_column_list(space: HilbertSpace, vectors) -> list[np.ndarray]:
 class Eventuality:
     """A subspace of a Hilbert space: orthonormal basis plus projector.
 
-    Instances are constructed through the classmethods so the basis is
-    always orthonormal and deterministically ordered. Subspace identity is
+    The classmethods orthonormalize and order the basis deterministically.
+    The constructor itself trusts columns already known orthonormal (basis
+    transport, lifting, eigenvectors): it does not re-orthogonalize, so
+    exact ranks and column order are preserved. Subspace identity is
     tested with `equals` (projector comparison), never with basis identity.
     """
 
@@ -121,13 +123,6 @@ class Eventuality:
             )
         w, v = np.linalg.eigh(projector.entries)
         return cls(projector.space, v[:, w > 0.5])
-
-    @classmethod
-    def from_orthonormal(cls, space: HilbertSpace, matrix: np.ndarray) -> "Eventuality":
-        """Trusted constructor for columns already known orthonormal
-        (basis transport, lifting); no re-orthogonalization, so exact
-        ranks and column order are preserved."""
-        return cls(space, matrix)
 
     @classmethod
     def from_basis_states(cls, space: HilbertSpace, indices) -> "Eventuality":

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpaceMismatchError, StructureError
-from .hilbert import CompositeSpace, HilbertSpace, Op, cheb_norm, structure_check
-from .lattice import RANK_TOL, Eventuality
+from .hilbert import INVARIANT_TOL, CompositeSpace, HilbertSpace, Op, cheb_norm, structure_check
+from .lattice import Eventuality
 
 __all__ = [
     "ORTHOGONALITY_TOL",
@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 # Default tolerance for orthogonality/completeness residuals.
-ORTHOGONALITY_TOL = 1e-10
+ORTHOGONALITY_TOL = INVARIANT_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +183,7 @@ def spectral_observable(m: Op, tol: float = 1e-8) -> QuantitativeObservable:
     channels = []
     values = []
     for idx in clusters:
-        channels.append(Eventuality.from_orthonormal(m.space, v[:, idx]))
+        channels.append(Eventuality(m.space, v[:, idx]))
         values.append(float(np.mean(w[idx])))
     labels = tuple(f"E{i}" for i in range(len(clusters)))
     return QuantitativeObservable(Observable(m.space, tuple(channels), labels), tuple(values))
@@ -209,7 +209,7 @@ def lift_eventuality(e: Eventuality, comp: CompositeSpace, factor: int | None = 
     before = np.eye(comp.dim_before(idx), dtype=np.complex128)
     after = np.eye(comp.dim_after(idx), dtype=np.complex128)
     cols = np.kron(np.kron(before, e.basis_matrix), after)
-    return Eventuality.from_orthonormal(comp.space, cols)
+    return Eventuality(comp.space, cols)
 
 
 def lift(obs: Observable, comp: CompositeSpace, factor: int | None = None) -> Observable:
@@ -219,22 +219,27 @@ def lift(obs: Observable, comp: CompositeSpace, factor: int | None = None) -> Ob
     return Observable(comp.space, channels, obs.labels)
 
 
+def _require_commuting(a: Observable, b: Observable, tol: float) -> None:
+    """Reject the first channel pair (a_i, b_j) whose projectors do not
+    commute within tol, naming the pair and its commutator residual."""
+    for la, ea in zip(a.labels, a.channels):
+        for lb, eb in zip(b.labels, b.channels):
+            pa, pb = ea.projector.entries, eb.projector.entries
+            r = cheb_norm(pa @ pb - pb @ pa)
+            if r > tol:
+                raise StructureError(
+                    f"channels {la!r} and {lb!r} do not commute: residual {r:.3e} exceeds {tol:.0e}",
+                    residual=r,
+                )
+
+
 def conjoin(a: Observable, b: Observable, tol: float = ORTHOGONALITY_TOL) -> Observable:
     """Combine two commuting observables on one space into the observable
     of channel pairs, channel (i, j) being meet(a_i, b_j). Rejects
     non-commuting channel pairs, naming the offending pair."""
     if a.space != b.space:
         raise SpaceMismatchError(f"cannot conjoin observables on {a.space} and {b.space}")
-    for la, ea in zip(a.labels, a.channels):
-        for lb, eb in zip(b.labels, b.channels):
-            r = cheb_norm(
-                ea.projector.entries @ eb.projector.entries - eb.projector.entries @ ea.projector.entries
-            )
-            if r > tol:
-                raise StructureError(
-                    f"channels {la!r} and {lb!r} do not commute: residual {r:.3e} exceeds {tol:.0e}",
-                    residual=r,
-                )
+    _require_commuting(a, b, tol)
     channels = []
     labels = []
     for la, ea in zip(a.labels, a.channels):

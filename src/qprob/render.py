@@ -24,8 +24,6 @@ __all__ = [
 
 FORMATS = ("text", "csv", "json")
 
-Cell = "float | complex | None"
-
 
 def format_number(x, precision: int = 6) -> str:
     """%.{precision}g with negative zero normalized away."""

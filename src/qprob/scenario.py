@@ -11,7 +11,7 @@ package; nothing is hard-coded.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .hilbert import CompositeSpace, HilbertSpace, Vec
 from .lattice import ClassicalEventuality, ClassicalModel, Eventuality
-from .observables import Observable, QuantitativeObservable, validate_observable
+from .observables import Observable, ObservableValidation, QuantitativeObservable, validate_observable
 from .weighting import LifetimeProfile, LifetimeSegment, ObserverModel, Scheme
 
 __all__ = [
@@ -56,6 +56,7 @@ class ScenarioObservable:
     space_id: str
     observable: Observable
     quantitative: QuantitativeObservable | None
+    validation: ObservableValidation  # the check that passed at load
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,24 +67,27 @@ class ScenarioEvent:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A loaded, validated scenario."""
+    """A loaded, validated scenario. The fields of the other kind keep
+    their empty defaults."""
 
     name: str
     kind: str
     description: str
     # quantum side
-    spaces: tuple[HilbertSpace, ...]
-    composite: CompositeSpace | None
-    state: ProbabilityOperator | None
-    state_vector: Vec | None
-    observables: tuple[ScenarioObservable, ...]
-    observers: tuple[ObserverModel, ...]
-    weighting: Scheme | None
+    spaces: tuple[HilbertSpace, ...] = ()
+    composite: CompositeSpace | None = None
+    state: ProbabilityOperator | None = None
+    state_vector: Vec | None = None
+    observables: tuple[ScenarioObservable, ...] = ()
+    observers: tuple[ObserverModel, ...] = ()
+    # observer id -> the observable it perceives through, if it has one
+    perceives: dict[str, ScenarioObservable] = field(default_factory=dict)
+    weighting: Scheme | None = None
     # classical side
-    classical: ClassicalModel | None
-    events: tuple[ScenarioEvent, ...]
+    classical: ClassicalModel | None = None
+    events: tuple[ScenarioEvent, ...] = ()
     # shared extras
-    lifetime_profile: LifetimeProfile | None
+    lifetime_profile: LifetimeProfile | None = None
 
     @property
     def is_classical(self) -> bool:
@@ -237,9 +241,10 @@ def _build_quantum(doc: dict, origin: str) -> dict:
                 quantitative = QuantitativeObservable(obs, tuple(float(v) for v in item["values"]))
             except ValueError as exc:
                 raise _fail(f"{origin}: observable {oid!r}: {exc}") from exc
-        observables.append(ScenarioObservable(oid, space.label, obs, quantitative))
+        observables.append(ScenarioObservable(oid, space.label, obs, quantitative, check))
 
     observers: list[ObserverModel] = []
+    perceives: dict[str, ScenarioObservable] = {}
     for item in doc.get("observers", ()):
         if any(o.id == item["id"] for o in observers):
             raise _fail(f"{origin}: duplicate observer id {item['id']!r}")
@@ -255,6 +260,7 @@ def _build_quantum(doc: dict, origin: str) -> dict:
                         f"{origin}: observer {item['id']!r} references unknown observable {item['observable']!r}"
                     )
                 observer = ObserverModel(item["id"], observable=matches[0].observable, **kwargs)
+                perceives[item["id"]] = matches[0]
             elif "branch_channels" in item:
                 observer = ObserverModel(item["id"], branch_channels=int(item["branch_channels"]), **kwargs)
             else:
@@ -274,9 +280,8 @@ def _build_quantum(doc: dict, origin: str) -> dict:
         "state_vector": state_vector,
         "observables": tuple(observables),
         "observers": tuple(observers),
+        "perceives": perceives,
         "weighting": weighting,
-        "classical": None,
-        "events": (),
     }
 
 
@@ -293,17 +298,7 @@ def _build_classical(doc: dict, origin: str) -> dict:
             events.append(ScenarioEvent(item["id"], model.event(item["members"])))
         except ValueError as exc:
             raise _fail(f"{origin}: event {item['id']!r}: {exc}") from exc
-    return {
-        "spaces": (),
-        "composite": None,
-        "state": None,
-        "state_vector": None,
-        "observables": (),
-        "observers": (),
-        "weighting": None,
-        "classical": model,
-        "events": tuple(events),
-    }
+    return {"classical": model, "events": tuple(events)}
 
 
 def _build_profile(doc: dict, origin: str) -> LifetimeProfile | None:

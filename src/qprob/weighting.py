@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hilbert import INVARIANT_TOL
 from .observables import Observable
 
 __all__ = [
@@ -44,7 +45,7 @@ __all__ = [
 ]
 
 # A per-observer gross vector must total 1 within this.
-GROSS_SUM_TOL = 1e-10
+GROSS_SUM_TOL = INVARIANT_TOL
 
 SCHEME_VARIANTS = ("weak", "proper", "entropic")
 
@@ -99,8 +100,32 @@ class Scheme:
         _log(2.0, self.log_base)  # reject unsupported bases early
 
 
+class _EntropySource:
+    """What observers and lifetime segments share: exactly one entropy
+    source, read out as a capacity. Subclasses carry `branch_channels` and
+    `entropy_value`."""
+
+    def _check_source(self, names: tuple[str, ...], prefix: str = "", scope: str = "") -> None:
+        # `names` are the attributes that each count as an entropy source.
+        if sum(getattr(self, name) is not None for name in names) != 1:
+            raise ValueError(f"{prefix}give exactly one of {', '.join(names)}{scope}")
+        if self.branch_channels is not None and (
+            not isinstance(self.branch_channels, int) or self.branch_channels < 1
+        ):
+            raise ValueError(f"{prefix}branch_channels must be a positive integer, got {self.branch_channels!r}")
+        if self.entropy_value is not None and self.entropy_value < 0:
+            raise ValueError(f"{prefix}entropy must be nonnegative, got {self.entropy_value}")
+
+    def entropy(self, log_base=2) -> float:
+        """Entropy capacity in the given base; a direct entropy value is
+        returned as supplied (its base is the caller's convention)."""
+        if self.entropy_value is not None:
+            return float(self.entropy_value)
+        return _log(self.branch_channels, log_base)
+
+
 @dataclass(frozen=True, eq=False)
-class ObserverModel:
+class ObserverModel(_EntropySource):
     """An observer: an entropy source plus lifetime bookkeeping.
 
     Exactly one entropy source must be given: a perception observable
@@ -124,13 +149,7 @@ class ObserverModel:
             raise ValueError(
                 f"observer {self.id!r}: perception duration must be positive, got {self.perception_duration}"
             )
-        sources = [
-            self.observable is not None,
-            self.branch_channels is not None,
-            self.entropy_value is not None,
-        ]
-        if sum(sources) != 1:
-            raise ValueError(f"observer {self.id!r}: give exactly one of observable, branch_channels, entropy_value")
+        self._check_source(("observable", "branch_channels", "entropy_value"), prefix=f"observer {self.id!r}: ")
         if self.observable is not None:
             ranks = sorted({ch.rank for ch in self.observable.channels})
             if len(ranks) != 1:
@@ -142,21 +161,6 @@ class ObserverModel:
                 raise ValueError(f"observer {self.id!r}: perception channels must be non-null")
             object.__setattr__(self, "channel_rank", rank)
             object.__setattr__(self, "branch_channels", self.observable.space.dim // rank)
-        elif self.branch_channels is not None:
-            if not isinstance(self.branch_channels, int) or self.branch_channels < 1:
-                raise ValueError(
-                    f"observer {self.id!r}: branch_channels must be a positive integer, got {self.branch_channels!r}"
-                )
-        else:
-            if self.entropy_value < 0:
-                raise ValueError(f"observer {self.id!r}: entropy must be nonnegative, got {self.entropy_value}")
-
-    def entropy(self, log_base=2) -> float:
-        """Entropy capacity in the given base; a direct entropy value is
-        returned as supplied (its base is the caller's convention)."""
-        if self.entropy_value is not None:
-            return float(self.entropy_value)
-        return _log(self.branch_channels, log_base)
 
 
 def weights_weak(observers) -> np.ndarray:
@@ -220,7 +224,7 @@ class NetTable:
 def net_table(scheme: Scheme, observers, gross) -> NetTable:
     """Split gross per-observer channel probabilities into net shares.
 
-    Every gross vector must total 1 within 1e-10. The net table totals 1
+    Every gross vector must total 1 within GROSS_SUM_TOL. The net table totals 1
     because the weights do.
     """
     observers = tuple(observers)
@@ -264,7 +268,7 @@ def perception_rate(scheme: Scheme, observers, index: int) -> float:
 
 
 @dataclass(frozen=True)
-class LifetimeSegment:
+class LifetimeSegment(_EntropySource):
     """One piecewise-constant stretch of a lifetime."""
 
     duration: float
@@ -277,20 +281,7 @@ class LifetimeSegment:
             raise ValueError(f"segment duration must be positive, got {self.duration}")
         if self.perception_duration <= 0:
             raise ValueError(f"segment perception duration must be positive, got {self.perception_duration}")
-        sources = [self.branch_channels is not None, self.entropy_value is not None]
-        if sum(sources) != 1:
-            raise ValueError("give exactly one of branch_channels, entropy_value per segment")
-        if self.branch_channels is not None and (
-            not isinstance(self.branch_channels, int) or self.branch_channels < 1
-        ):
-            raise ValueError(f"branch_channels must be a positive integer, got {self.branch_channels!r}")
-        if self.entropy_value is not None and self.entropy_value < 0:
-            raise ValueError(f"entropy must be nonnegative, got {self.entropy_value}")
-
-    def entropy(self, log_base=2) -> float:
-        if self.entropy_value is not None:
-            return float(self.entropy_value)
-        return _log(self.branch_channels, log_base)
+        self._check_source(("branch_channels", "entropy_value"), scope=" per segment")
 
 
 @dataclass(frozen=True)

@@ -191,6 +191,41 @@ def test_zero_probability_collapse_exits_two(capsys, tmp_path):
     assert "probability" in err
 
 
+def test_non_psd_collapse_exits_two(capsys, tmp_path):
+    # The state passes the load check (smallest eigenvalue -5e-11 is within
+    # tolerance); collapsing onto states 1 and 2 divides by p = 1e-11 and
+    # yields an eigenvalue of -5, which the derived operator's check rejects.
+    path = tmp_path / "magnified.json"
+    payload = {
+        "name": "magnified",
+        "spaces": [{"id": "s", "dim": 3}],
+        "state": {"kind": "diagonal", "weights": [1 - 1e-11, 6e-11, -5e-11]},
+        "observables": [
+            {
+                "id": "z",
+                "space": "s",
+                "channels": [
+                    {"label": "head", "vectors": [[[1, 0], [0, 0], [0, 0]]]},
+                    {"label": "tail", "vectors": [[[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]},
+                ],
+            }
+        ],
+    }
+    path.write_text(json.dumps(payload))
+    code, _, _ = run(capsys, "validate", "--scenario", str(path))
+    assert code == 0
+    code, out, err = run(capsys, "collapse", "--scenario", str(path), "--on", "z:tail")
+    assert code == 2 and out == ""
+    assert "positive semidefinite" in err
+
+
+def test_joint_other_pair_keeps_default_correlation(capsys):
+    code, out, _ = run(capsys, "joint", "--preset", "cat-master", "--rows", "cat-mind", "--cols", "master-mind")
+    assert code == 0
+    assert "joint probabilities: rows 'cat-mind', columns 'master-mind'" in out
+    assert "observables: 'master-mind' (4 channels) vs 'cat-mind' (2 channels)" in out
+
+
 def test_version_exits_zero(capsys):
     assert main(["--version"]) == 0
     out = capsys.readouterr().out

@@ -7,6 +7,7 @@ from qprob import (
     HilbertSpace,
     Observable,
     Op,
+    PSD_TOL,
     ProbabilityOperator,
     SpaceMismatchError,
     StructureError,
@@ -17,6 +18,7 @@ from qprob import (
     cheb_norm,
     collapse,
     conditional,
+    conjoin,
     correlation_check,
     heisenberg_transport,
     joint_matrix,
@@ -50,6 +52,10 @@ def test_probability_operator_invariants():
         ProbabilityOperator.from_entries(S2, np.diag([0.7, 0.4]))
     with pytest.raises(StructureError, match="positive semidefinite"):
         ProbabilityOperator.from_entries(S2, np.diag([1.2, -0.2]))
+    # a valid operator keeps the reports of the checks it passed
+    state = ProbabilityOperator.diagonal(S2, [0.75, 0.25])
+    assert [r.kind for r in state.checks] == ["hermitian", "unit-trace", "psd"]
+    assert all(r.passed and r.tol == PSD_TOL for r in state.checks)
 
 
 def test_probability_operator_constructors():
@@ -116,6 +122,19 @@ def test_collapse_projects_coherences_away():
     assert cheb_norm(result.operator.matrix.entries - np.diag([1.0, 0])) < 1e-12
 
 
+def test_collapse_keeps_the_psd_check_on_derived_operators():
+    # The state passes its own check: its smallest eigenvalue, -5e-11, is
+    # within PSD_TOL. Conditioning on basis states 1 and 2 divides by
+    # p = 1e-11 and magnifies that eigenvalue to -5. A derived operator
+    # gets the same full invariant check as a loaded one, so this is loud.
+    h3 = HilbertSpace(3)
+    state = ProbabilityOperator.diagonal(h3, [1 - 1e-11, 6e-11, -5e-11])
+    tail = Eventuality.from_basis_states(h3, [1, 2])
+    with pytest.raises(StructureError, match="positive semidefinite") as err:
+        collapse(state, tail)
+    assert err.value.residual == pytest.approx(5.0)
+
+
 def test_joint_matrix_frozen_cat_box():
     reading = lift(basis_observable(HilbertSpace(2, "detector"), ("up", "down")), CAT_COMP)
     cat = lift(basis_observable(HilbertSpace(2, "cat"), ("awake", "asleep")), CAT_COMP)
@@ -131,8 +150,12 @@ def test_joint_matrix_rejects_noncommuting():
     h = rand_unitary_op(np.random.default_rng(3), S2)
     x = heisenberg_transport(z, h)
     state = ProbabilityOperator.isotropic(S2)
-    with pytest.raises(StructureError, match="do not commute"):
+    with pytest.raises(StructureError, match="do not commute") as from_joint:
         joint_matrix(state, z, x)
+    # conjoin runs the same commutation check
+    with pytest.raises(StructureError) as from_conjoin:
+        conjoin(z, x)
+    assert str(from_conjoin.value) == str(from_joint.value)
 
 
 def test_joint_matrix_space_guard():
