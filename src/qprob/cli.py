@@ -15,6 +15,8 @@ import argparse
 import sys
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from . import __version__
 from .engine import (
     ZERO_PROBABILITY_THRESHOLD,
@@ -145,9 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
 # -- helpers -----------------------------------------------------------
 
 
-def _clamp(p: float) -> float:
+def _clamp(p) -> np.ndarray:
     # Presentation-side clamp; raw values stay untouched in the library.
-    return min(max(float(p), 0.0), 1.0)
+    return np.clip(np.asarray(p, dtype=np.float64), 0.0, 1.0)
 
 
 def _require_quantum(scn: Scenario, command: str) -> None:
@@ -212,15 +214,12 @@ def _basis_labels(dim: int) -> tuple[str, ...]:
 
 
 def _operator_table(caption: str, op) -> RenderedTable:
-    entries = op.entries
-    labels = _basis_labels(entries.shape[0])
-    cells = tuple(tuple(complex(entries[i, j]) for j in range(entries.shape[1])) for i in range(entries.shape[0]))
-    return RenderedTable(caption, labels, labels, cells)
+    labels = _basis_labels(op.entries.shape[0])
+    return RenderedTable(caption, labels, labels, op.entries)
 
 
 def _probability_table(caption: str, row_labels, probs) -> RenderedTable:
-    cells = tuple((_clamp(p),) for p in probs)
-    return RenderedTable(caption, tuple(row_labels), ("probability",), cells)
+    return RenderedTable(caption, tuple(row_labels), ("probability",), _clamp(probs)[:, None])
 
 
 # -- command handlers ---------------------------------------------------
@@ -368,8 +367,7 @@ def _joint(scn: Scenario, rows: ScenarioObservable, cols: ScenarioObservable,
 
 def _joint_table(rows: ScenarioObservable, cols: ScenarioObservable,
                  jm: JointProbabilityMatrix, caption: str) -> RenderedTable:
-    cells = tuple(tuple(_clamp(v) for v in row) for row in jm.values)
-    return RenderedTable(caption, rows.observable.labels, cols.observable.labels, cells)
+    return RenderedTable(caption, rows.observable.labels, cols.observable.labels, _clamp(jm.values))
 
 
 def _cmd_joint(scn: Scenario, opts: Options) -> Report:
@@ -399,7 +397,7 @@ def _cmd_conditional(scn: Scenario, opts: Options) -> Report:
             f"probabilities of '{target.id}' given '{label}'",
             (label,),
             target.observable.labels,
-            (tuple(_clamp(p) for p in probs),),
+            _clamp(probs)[None, :],
         )
         return Report(f"conditional: scenario '{scn.name}'", (table,))
 
@@ -417,12 +415,12 @@ def _cmd_conditional(scn: Scenario, opts: Options) -> Report:
             continue
         probs = conditional(state, ch, lifted_target)
         kept_labels.append(f"{rows.id}:{label}")
-        cells.append(tuple(_clamp(x) for x in probs))
+        cells.append(probs)
     sections: list = [RenderedTable(
         f"probabilities of '{target.id}' given channels of '{rows.id}'",
         tuple(kept_labels),
         target.observable.labels,
-        tuple(cells),
+        _clamp(cells),
     )]
     if skipped:
         sections.append(TextLines(
@@ -536,20 +534,14 @@ def _cmd_net(scn: Scenario, opts: Options) -> Report:
         caption,
         tuple(o.id for o in scn.observers),
         ("weight",),
-        tuple((float(w),) for w in table.weights),
+        np.asarray(table.weights)[:, None],
     ))
 
-    row_labels = []
-    cells = []
-    for o, labels, g, n in zip(scn.observers, channel_labels, table.gross, table.net):
-        for label, gv, nv in zip(labels, g, n):
-            row_labels.append(f"{o.id}:{label}")
-            cells.append((_clamp(gv), _clamp(nv)))
     sections.append(RenderedTable(
         "net perception probabilities",
-        tuple(row_labels),
+        tuple(f"{o.id}:{label}" for o, labels in zip(scn.observers, channel_labels) for label in labels),
         ("gross", "net"),
-        tuple(cells),
+        _clamp([np.concatenate(table.gross), np.concatenate(table.net)]).T,
         arrow_pair=True,
     ))
     sections.append(TextLines(
@@ -564,22 +556,20 @@ def _cmd_lifetime(scn: Scenario, opts: Options) -> Report:
         raise IncompatibleCommandError(f"scenario {scn.name!r} defines no lifetime profile")
     base = _log_base(scn, opts)
     dist = lifetime_distribution(scn.lifetime_profile, base)
-    labels = tuple(f"segment {k + 1}" for k in range(len(scn.lifetime_profile.segments)))
-    cells = []
-    for seg, dens, mass, cum in zip(scn.lifetime_profile.segments, dist.densities, dist.masses, dist.cumulative):
-        cells.append((
-            float(seg.duration),
-            float(seg.entropy(base)),
-            float(seg.perception_duration),
-            float(dens),
-            float(mass),
-            float(cum),
-        ))
+    segments = scn.lifetime_profile.segments
+    labels = tuple(f"segment {k + 1}" for k in range(len(segments)))
     table = RenderedTable(
         f"perceived-moment distribution (log base {base})",
         labels,
         ("duration", "capacity", "perception", "density", "mass", "cumulative"),
-        tuple(cells),
+        np.column_stack((
+            [seg.duration for seg in segments],
+            [seg.entropy(base) for seg in segments],
+            [seg.perception_duration for seg in segments],
+            dist.densities,
+            dist.masses,
+            dist.cumulative,
+        )),
     )
     lines = TextLines(
         "summary",

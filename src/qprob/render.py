@@ -1,16 +1,22 @@
 """Deterministic table rendering: aligned text, csv, and structured json.
 
-Aligned text formats numbers with %.{precision}g. CSV keeps full float
-precision (shortest round-trip repr) so re-parsing recovers the in-memory
-values bit for bit; complex cells split into .re/.im columns. The json
-format mirrors the scenario file convention: complex numbers as [re, im]
-pairs. Output is ASCII throughout so bytes do not depend on the locale.
+A table's cells are one read-only 2-D float64 or complex128 array; every
+format reads its values through `tolist()`, so each cell is a Python float
+or complex. Aligned text formats numbers with %.{precision}g, and a
+complex cell with a zero imaginary part prints as its real part. CSV keeps
+full float precision (shortest round-trip repr) so re-parsing recovers the
+in-memory values bit for bit; a table with any nonzero imaginary part
+splits every column into .re/.im columns. The json format mirrors the
+scenario file convention: complex numbers as [re, im] pairs. Output is
+ASCII throughout so bytes do not depend on the locale.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "FORMATS",
@@ -33,39 +39,38 @@ def format_number(x, precision: int = 6) -> str:
     return f"{x:.{precision}g}"
 
 
-def _format_cell(x, precision: int) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, complex):
-        if x.imag == 0.0:
-            return format_number(x.real, precision)
+def _format_cell(x: float | complex, precision: int) -> str:
+    if isinstance(x, complex) and x.imag != 0.0:
         sign = "+" if x.imag >= 0 else "-"
         return f"{format_number(x.real, precision)}{sign}{format_number(abs(x.imag), precision)}j"
-    return format_number(x, precision)
+    return format_number(x.real, precision)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RenderedTable:
-    """A captioned numeric table. With arrow_pair set, the table must have
-    exactly two value columns and aligned text shows them as one
-    "first -> second" column (csv and json keep them separate)."""
+    """A captioned numeric table. `cells` accepts an array or nested
+    sequence of numbers and is stored as a read-only copy: complex128 if
+    any cell is complex, float64 otherwise, of shape (rows, columns). With
+    arrow_pair set, the table must have exactly two value columns and
+    aligned text shows them as one "first -> second" column (csv and json
+    keep them separate)."""
 
     caption: str
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
-    cells: tuple[tuple[object, ...], ...]
+    cells: np.ndarray
     arrow_pair: bool = False
 
     def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.cells)
-        object.__setattr__(self, "cells", rows)
+        cells = np.asarray(self.cells)
+        cells = cells.astype(np.complex128 if np.iscomplexobj(cells) else np.float64)
+        cells.flags.writeable = False
+        object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
-        if len(rows) != len(self.row_labels):
-            raise ValueError(f"{len(self.row_labels)} row labels but {len(rows)} rows")
-        for r in rows:
-            if len(r) != len(self.col_labels):
-                raise ValueError(f"{len(self.col_labels)} column labels but a row of {len(r)} cells")
+        shape = (len(self.row_labels), len(self.col_labels))
+        if cells.shape != shape:
+            raise ValueError(f"{shape[0]} row labels and {shape[1]} column labels but cells of shape {cells.shape}")
         if self.arrow_pair and len(self.col_labels) != 2:
             raise ValueError("arrow_pair tables need exactly two value columns")
 
@@ -93,17 +98,18 @@ class Report:
 
 
 def _text_table(table: RenderedTable, precision: int) -> str:
+    rows = table.cells.tolist()
     if table.arrow_pair:
         headers = [""] + [f"{table.col_labels[0]} -> {table.col_labels[1]}"]
         body = [
             [label] + [f"{_format_cell(row[0], precision)} -> {_format_cell(row[1], precision)}"]
-            for label, row in zip(table.row_labels, table.cells)
+            for label, row in zip(table.row_labels, rows)
         ]
     else:
         headers = [""] + list(table.col_labels)
         body = [
             [label] + [_format_cell(c, precision) for c in row]
-            for label, row in zip(table.row_labels, table.cells)
+            for label, row in zip(table.row_labels, rows)
         ]
     widths = [len(h) for h in headers]
     for row in body:
@@ -120,55 +126,32 @@ def _text_table(table: RenderedTable, precision: int) -> str:
     return "\n".join(out)
 
 
-def _csv_field(x) -> str:
-    text = str(x)
+def _csv_field(text: str) -> str:
+    # Only labels need quoting: a float's repr never holds a comma, quote or newline.
     if any(c in text for c in ",\"\n"):
         text = '"' + text.replace('"', '""') + '"'
     return text
 
 
 def _csv_table(table: RenderedTable) -> str:
-    has_complex = any(isinstance(c, complex) and c.imag != 0.0 for row in table.cells for c in row)
-    if has_complex:
-        headers = [""]
-        for label in table.col_labels:
-            headers += [f"{label}.re", f"{label}.im"]
-        rows = []
-        for label, row in zip(table.row_labels, table.cells):
-            flat = [label]
-            for c in row:
-                if c is None:
-                    flat += ["", ""]
-                else:
-                    c = complex(c)
-                    flat += [repr(c.real), repr(c.imag)]
-            rows.append(flat)
+    cells = table.cells
+    if np.iscomplexobj(cells) and cells.imag.any():
+        headers = [""] + [f"{label}.{part}" for label in table.col_labels for part in ("re", "im")]
+        # Each cell becomes two adjacent columns: real part, imaginary part.
+        cells = np.stack((cells.real, cells.imag), axis=-1).reshape(len(table.row_labels), -1)
     else:
         headers = [""] + list(table.col_labels)
-        rows = []
-        for label, row in zip(table.row_labels, table.cells):
-            flat = [label]
-            for c in row:
-                if c is None:
-                    flat.append("")
-                else:
-                    flat.append(repr(float(c.real) if isinstance(c, complex) else float(c)))
-            rows.append(flat)
-    out = [f"# {table.caption}"]
-    out.append(",".join(_csv_field(h) for h in headers))
-    for row in rows:
-        out.append(",".join(_csv_field(c) for c in row))
+        cells = cells.real
+    out = [f"# {table.caption}", ",".join(_csv_field(h) for h in headers)]
+    for label, row in zip(table.row_labels, cells.tolist()):
+        out.append(",".join([_csv_field(label)] + [repr(c) for c in row]))
     return "\n".join(out)
 
 
-def _json_cell(x):
-    if x is None:
-        return None
+def _json_cell(x: float | complex) -> float | list[float]:
     if isinstance(x, complex):
-        if x.imag == 0.0:
-            return x.real
-        return [x.real, x.imag]
-    return float(x)
+        return x.real if x.imag == 0.0 else [x.real, x.imag]
+    return x
 
 
 def _json_section(section):
@@ -178,7 +161,7 @@ def _json_section(section):
             "caption": section.caption,
             "row_labels": list(section.row_labels),
             "col_labels": list(section.col_labels),
-            "cells": [[_json_cell(c) for c in row] for row in section.cells],
+            "cells": [[_json_cell(c) for c in row] for row in section.cells.tolist()],
         }
     return {"kind": "lines", "caption": section.caption, "lines": list(section.lines)}
 

@@ -11,6 +11,7 @@ package; nothing is hard-coded.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -99,12 +100,6 @@ class Scenario:
             return self.composite.space
         return self.spaces[0]
 
-    def space_by_id(self, space_id: str) -> HilbertSpace:
-        for s in self.spaces:
-            if s.label == space_id:
-                return s
-        raise KeyError(f"no space {space_id!r}")
-
     def observable_by_id(self, obs_id: str) -> ScenarioObservable:
         for so in self.observables:
             if so.id == obs_id:
@@ -122,8 +117,19 @@ def _fail(message: str) -> ScenarioValidationError:
 
 
 def _parse(text: str, origin: str) -> dict:
+    # json accepts NaN and +-Infinity, and reads an overflowing literal such
+    # as 1e999 as inf; no scenario quantity may be non-finite.
+    def non_finite(literal: str):
+        raise ScenarioParseError(f"{origin}: non-finite number {literal} is not allowed")
+
+    def finite_float(literal: str) -> float:
+        value = float(literal)
+        if not math.isfinite(value):
+            non_finite(literal)
+        return value
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=non_finite, parse_float=finite_float)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"{origin}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"

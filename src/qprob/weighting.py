@@ -308,14 +308,17 @@ class LifetimeDistribution:
 
 def lifetime_distribution(profile: LifetimeProfile, log_base=2) -> LifetimeDistribution:
     """Distribute perception mass over a profile's segments in proportion
-    to duration * capacity / perception duration. An all-zero profile has
-    no distribution and is an error."""
+    to duration * capacity / perception duration. An all-zero profile, or
+    one whose total mass overflows, has no distribution and is an error."""
     dens = np.array(
         [seg.entropy(log_base) / seg.perception_duration for seg in profile.segments],
         dtype=np.float64,
     )
-    raw = np.array([seg.duration for seg in profile.segments], dtype=np.float64) * dens
-    total = float(raw.sum())
+    with np.errstate(over="ignore"):  # an overflow is reported below as a non-finite total
+        raw = np.array([seg.duration for seg in profile.segments], dtype=np.float64) * dens
+        total = float(raw.sum())
+    if not math.isfinite(total):
+        raise ValueError(f"profile has non-finite total perception mass {total}; distribution is undefined")
     if total <= 0.0:
         raise ValueError("profile has zero total perception mass; distribution is undefined")
     masses = raw / total

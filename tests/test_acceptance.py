@@ -437,6 +437,8 @@ MALFORMED_NEEDLES = {
     "13_zero_lifetime.json": "lifetime",
     "14_dup_space_ids.json": "duplicate space id",
     "15_bad_measure_sum.json": "measure must total 1",
+    "16_nan_duration.json": "non-finite number NaN",
+    "17_overflow_lifetime.json": "non-finite number 1e999",
 }
 
 
@@ -493,4 +495,4 @@ def test_criterion_10_determinism_and_rejection(capsys):
         needle = MALFORMED_NEEDLES.get(path.name, "")
         if needle and needle not in err:
             failures.append(f"{path.name}: stderr does not name the violation ({needle!r})")
-    report(10, "byte-determinism across presets/commands/formats; 15 malformed files rejected", failures)
+    report(10, "byte-determinism across presets/commands/formats; 17 malformed files rejected", failures)

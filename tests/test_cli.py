@@ -107,6 +107,17 @@ def test_lifetime(capsys):
     assert "perceived-moment distribution (log base 2)" in out
 
 
+def test_lifetime_overflowing_mass_exits_two(capsys, tmp_path):
+    doc = json.loads(MIDLIFE.read_text())
+    doc["lifetime_profile"]["segments"][0]["duration"] = 1e308
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "lifetime", "--scenario", str(path))
+    assert code == 2
+    assert out == ""
+    assert "non-finite total perception mass" in err
+
+
 def test_lifetime_requires_profile(capsys):
     code, _, err = run(capsys, "lifetime", "--preset", "cat-master")
     assert code == 1

@@ -1,9 +1,10 @@
 """Golden outputs: the CLI's exact stdout bytes and exit status, frozen.
 
 Covers every criterion-10 preset x command x format, the three collapse
-targets and the midlife lifetime scenario. A refactor that means to keep
-the output must pass this unchanged. A change that means to alter the
-output regenerates the file and shows the new bytes in review:
+targets, the midlife lifetime scenario and a dense scenario whose tables
+have complex cells. A refactor that means to keep the output must pass
+this unchanged. A change that means to alter the output regenerates the
+file and shows the new bytes in review:
 
     PYTHONPATH=src python -m tests.test_golden
 """
@@ -32,6 +33,18 @@ COLLAPSE_TARGETS = {
     "cat-box": "reading:up",
     "cat-master": "master-mind:dreams-awake",
 }
+# A complex pure state read in a rotated basis: the only golden cases whose
+# tables hold complex cells (text a+bj, csv .re/.im columns, json pairs).
+COMPLEX_SCENARIO = "tests/data/complex_dense.json"
+COMPLEX_COMMANDS = (
+    ("gross",),
+    ("joint",),
+    ("conditional",),
+    ("collapse", "--on", "circ:left"),
+    ("luder", "--obs", "circ"),
+    ("branches",),
+    ("check",),
+)
 
 
 def golden_argvs() -> list[list[str]]:
@@ -42,6 +55,8 @@ def golden_argvs() -> list[list[str]]:
     for preset, target in COLLAPSE_TARGETS.items():
         argvs += [["collapse", "--preset", preset, "--on", target, "--format", fmt] for fmt in FORMATS]
     argvs += [["lifetime", "--scenario", "scenarios/midlife.json", "--format", fmt] for fmt in FORMATS]
+    for command in COMPLEX_COMMANDS:
+        argvs += [[*command, "--scenario", COMPLEX_SCENARIO, "--format", fmt] for fmt in FORMATS]
     return argvs
 
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from qprob.render import (
@@ -30,6 +31,19 @@ def test_table_shape_validation():
         RenderedTable("c", ("a",), ("x", "y"), ((1.0,),))
     with pytest.raises(ValueError):
         RenderedTable("c", ("a",), ("x",), ((1.0,),), arrow_pair=True)
+
+
+def test_cells_are_one_read_only_array():
+    entries = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
+    table = RenderedTable("op", ("0", "1"), ("0", "1"), entries)
+    assert table.cells.dtype == np.complex128
+    assert not table.cells.flags.writeable
+    entries[0, 0] = 9.0  # the table keeps its own copy
+    assert table.cells[0, 0] == 0.5
+    assert entries.flags.writeable
+    real = RenderedTable("t", ("r",), ("a", "b"), ((1, 0.5),))
+    assert real.cells.dtype == np.float64
+    assert real.cells.shape == (1, 2)
 
 
 def test_text_table_frozen():

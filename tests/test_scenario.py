@@ -140,12 +140,17 @@ MALFORMED_EXPECTATIONS = [
     ("13_zero_lifetime.json", "lifetime"),
     ("14_dup_space_ids.json", "duplicate space id 's'"),
     ("15_bad_measure_sum.json", "measure must total 1"),
+    ("16_nan_duration.json", "non-finite number NaN is not allowed"),
+    ("17_overflow_lifetime.json", "non-finite number 1e999 is not allowed"),
 ]
+# Non-finite numbers are refused while the json is read, before validation.
+PARSE_FAILURES = {"16_nan_duration.json", "17_overflow_lifetime.json"}
 
 
 @pytest.mark.parametrize("filename,needle", MALFORMED_EXPECTATIONS)
 def test_malformed_files_name_the_violation(filename, needle):
-    with pytest.raises(ScenarioValidationError) as err:
+    error = ScenarioParseError if filename in PARSE_FAILURES else ScenarioValidationError
+    with pytest.raises(error) as err:
         load_file(MALFORMED / filename)
     assert needle in str(err.value)
 

@@ -248,6 +248,19 @@ def test_lifetime_distribution_zero_capacity_everywhere():
         lifetime_distribution(profile)
 
 
+@pytest.mark.parametrize("duration,perception_duration", [(1e308, 0.3), (20.0, 5e-324)])
+def test_lifetime_distribution_overflowing_mass(duration, perception_duration):
+    # Finite inputs whose mass duration * capacity / perception duration overflows.
+    profile = LifetimeProfile(
+        (
+            LifetimeSegment(duration, perception_duration, branch_channels=1024),
+            LifetimeSegment(40.0, 0.5, branch_channels=1048576),
+        )
+    )
+    with pytest.raises(ValueError, match="non-finite total perception mass inf"):
+        lifetime_distribution(profile)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(min_value=3, max_value=60),
