@@ -2,18 +2,20 @@
 
 Usage: qprob <command> (--preset NAME | --scenario FILE) [flags]
 
-Commands: validate, gross, joint, conditional, collapse, luder, branches,
-net, lifetime, check. Exit status 0 on success, 1 for input or usage
-errors (bad flags, unknown preset, unreadable or unparseable file,
-command/scenario mismatch), 2 for validation or numeric failures. Output
-is deterministic: the same invocation produces identical bytes.
+Each command is declared once, in `_COMMANDS`: its handler, help text,
+extra flags and the kind of scenario it needs. Exit status 0 on success,
+1 for input or usage errors (bad flags, unknown preset, unreadable or
+unparseable file, command/scenario mismatch), 2 for validation or numeric
+failures. Output is deterministic: the same invocation produces identical
+bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -44,20 +46,6 @@ from .scenario import PRESET_NAMES, Scenario, ScenarioObservable, load_file, loa
 from .weighting import Scheme, lifetime_distribution, net_table
 
 __all__ = ["COMMANDS", "build_parser", "run_command", "main"]
-
-COMMANDS = (
-    "validate",
-    "gross",
-    "joint",
-    "conditional",
-    "collapse",
-    "luder",
-    "branches",
-    "net",
-    "lifetime",
-    "check",
-)
-
 
 @dataclass(frozen=True)
 class Options:
@@ -117,30 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qprob {__version__}")
     parser.set_defaults(command=None)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    sub.add_parser("validate", parents=[common], help="report scenario validation residuals")
-    sub.add_parser("gross", parents=[common], help="per-channel probabilities of every observable")
-
-    p = sub.add_parser("joint", parents=[common], help="joint probability table over two factors")
-    p.add_argument("--rows", metavar="OBS", help="row observable id (default: first on factor 1)")
-    p.add_argument("--cols", metavar="OBS", help="column observable id (default: first on factor 2)")
-
-    p = sub.add_parser("conditional", parents=[common], help="conditional probabilities after an outcome")
-    p.add_argument("--given", metavar="OBS:CHANNEL", help="conditioning channel (default: every row)")
-    p.add_argument("--target", metavar="OBS", help="target observable id (default: the other factor)")
-
-    p = sub.add_parser("collapse", parents=[common], help="a-posteriori operator given one outcome")
-    p.add_argument("--on", metavar="OBS:CHANNEL", required=True, help="conditioning channel")
-
-    p = sub.add_parser("luder", parents=[common], help="decohere the state over an observable")
-    p.add_argument("--obs", metavar="OBS", help="observable id (default: first declared)")
-
-    p = sub.add_parser("branches", parents=[common], help="branch decomposition over an observable")
-    p.add_argument("--obs", metavar="OBS", help="observable id (default: first declared)")
-
-    sub.add_parser("net", parents=[common], help="observer-weighted net perception table")
-    sub.add_parser("lifetime", parents=[common], help="perceived-moment distribution over a lifetime profile")
-    sub.add_parser("check", parents=[common], help="all validations plus the correlation check")
+    for name, spec in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=spec.help)
+        for flag, kwargs in spec.flags.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -150,20 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _clamp(p) -> np.ndarray:
     # Presentation-side clamp; raw values stay untouched in the library.
     return np.clip(np.asarray(p, dtype=np.float64), 0.0, 1.0)
-
-
-def _require_quantum(scn: Scenario, command: str) -> None:
-    if scn.is_classical:
-        raise IncompatibleCommandError(
-            f"command {command!r} needs a quantum scenario; {scn.name!r} is classical"
-        )
-
-
-def _require_composite(scn: Scenario, command: str) -> None:
-    if scn.composite is None or len(scn.composite.factors) < 2:
-        raise IncompatibleCommandError(
-            f"command {command!r} needs a composite scenario with at least two factors"
-        )
 
 
 def _observable(scn: Scenario, obs_id: str) -> ScenarioObservable:
@@ -348,16 +302,6 @@ def _cmd_gross(scn: Scenario, opts: Options) -> Report:
     return Report(f"gross: scenario '{scn.name}'", tuple(sections))
 
 
-def _joint_pair(scn: Scenario, opts: Options, command: str):
-    _require_quantum(scn, command)
-    _require_composite(scn, command)
-    rows = _observable(scn, opts.rows) if opts.rows else _factor_observable(scn, 0, command)
-    cols = _observable(scn, opts.cols) if opts.cols else _factor_observable(scn, 1, command)
-    if rows.id == cols.id:
-        raise IncompatibleCommandError("row and column observables must differ")
-    return rows, cols
-
-
 def _joint(scn: Scenario, rows: ScenarioObservable, cols: ScenarioObservable,
            opts: Options) -> JointProbabilityMatrix:
     # --tol sets the commutation tolerance, but never below the invariant tolerance.
@@ -371,15 +315,16 @@ def _joint_table(rows: ScenarioObservable, cols: ScenarioObservable,
 
 
 def _cmd_joint(scn: Scenario, opts: Options) -> Report:
-    rows, cols = _joint_pair(scn, opts, "joint")
+    rows = _observable(scn, opts.rows) if opts.rows else _factor_observable(scn, 0, "joint")
+    cols = _observable(scn, opts.cols) if opts.cols else _factor_observable(scn, 1, "joint")
+    if rows.id == cols.id:
+        raise IncompatibleCommandError("row and column observables must differ")
     jm = _joint(scn, rows, cols, opts)
     table = _joint_table(rows, cols, jm, f"joint probabilities: rows '{rows.id}', columns '{cols.id}'")
     return Report(f"joint: scenario '{scn.name}'", (table, _correlation_section(scn, opts, (rows, cols, jm))))
 
 
 def _cmd_conditional(scn: Scenario, opts: Options) -> Report:
-    _require_quantum(scn, "conditional")
-    _require_composite(scn, "conditional")
     state = scn.state
     if opts.given:
         sobs, index = _channel_ref(scn, opts.given, "--given")
@@ -431,7 +376,6 @@ def _cmd_conditional(scn: Scenario, opts: Options) -> Report:
 
 
 def _cmd_collapse(scn: Scenario, opts: Options) -> Report:
-    _require_quantum(scn, "collapse")
     sobs, index = _channel_ref(scn, opts.on, "--on")
     event = _lifted(scn, sobs.observable).channels[index]
     result = collapse(scn.state, event)
@@ -448,7 +392,6 @@ def _cmd_collapse(scn: Scenario, opts: Options) -> Report:
 
 
 def _cmd_luder(scn: Scenario, opts: Options) -> Report:
-    _require_quantum(scn, "luder")
     sobs = _observable(scn, opts.obs) if opts.obs else scn.observables[0]
     lifted = _lifted(scn, sobs.observable)
     result = luder(scn.state, lifted)
@@ -463,7 +406,6 @@ def _cmd_luder(scn: Scenario, opts: Options) -> Report:
 
 
 def _cmd_branches(scn: Scenario, opts: Options) -> Report:
-    _require_quantum(scn, "branches")
     sobs = _observable(scn, opts.obs) if opts.obs else scn.observables[0]
     lifted = _lifted(scn, sobs.observable)
     bd = branch_decompose(scn.state, lifted)
@@ -485,7 +427,6 @@ def _cmd_branches(scn: Scenario, opts: Options) -> Report:
 
 
 def _cmd_net(scn: Scenario, opts: Options) -> Report:
-    _require_quantum(scn, "net")
     if not scn.observers:
         raise IncompatibleCommandError(f"scenario {scn.name!r} defines no observers")
     if scn.weighting is None:
@@ -578,25 +519,55 @@ def _cmd_lifetime(scn: Scenario, opts: Options) -> Report:
     return Report(f"lifetime: scenario '{scn.name}'", (table, lines))
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "gross": _cmd_gross,
-    "joint": _cmd_joint,
-    "conditional": _cmd_conditional,
-    "collapse": _cmd_collapse,
-    "luder": _cmd_luder,
-    "branches": _cmd_branches,
-    "net": _cmd_net,
-    "lifetime": _cmd_lifetime,
-    "check": _cmd_check,
+# -- the command table ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Command:
+    handler: Callable[[Scenario, Options], Report]
+    help: str
+    # "quantum", "composite" (a quantum scenario with two or more factors) or None
+    needs: str | None = None
+    # extra flags: flag -> argparse keyword arguments
+    flags: dict = field(default_factory=dict)
+
+
+_OBS_FLAG = {"--obs": dict(metavar="OBS", help="observable id (default: first declared)")}
+
+_COMMANDS = {
+    "validate": _Command(_cmd_validate, "report scenario validation residuals"),
+    "gross": _Command(_cmd_gross, "per-channel probabilities of every observable"),
+    "joint": _Command(_cmd_joint, "joint probability table over two factors", "composite", {
+        "--rows": dict(metavar="OBS", help="row observable id (default: first on factor 1)"),
+        "--cols": dict(metavar="OBS", help="column observable id (default: first on factor 2)"),
+    }),
+    "conditional": _Command(_cmd_conditional, "conditional probabilities after an outcome", "composite", {
+        "--given": dict(metavar="OBS:CHANNEL", help="conditioning channel (default: every row)"),
+        "--target": dict(metavar="OBS", help="target observable id (default: the other factor)"),
+    }),
+    "collapse": _Command(_cmd_collapse, "a-posteriori operator given one outcome", "quantum", {
+        "--on": dict(metavar="OBS:CHANNEL", required=True, help="conditioning channel"),
+    }),
+    "luder": _Command(_cmd_luder, "decohere the state over an observable", "quantum", _OBS_FLAG),
+    "branches": _Command(_cmd_branches, "branch decomposition over an observable", "quantum", _OBS_FLAG),
+    "net": _Command(_cmd_net, "observer-weighted net perception table", "quantum"),
+    "lifetime": _Command(_cmd_lifetime, "perceived-moment distribution over a lifetime profile"),
+    "check": _Command(_cmd_check, "all validations plus the correlation check"),
 }
+
+COMMANDS = tuple(_COMMANDS)
 
 
 def run_command(command: str, scn: Scenario, opts: Options) -> Report:
     """Run one command against a loaded scenario and return its report."""
-    if command not in _HANDLERS:
+    if command not in _COMMANDS:
         raise IncompatibleCommandError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
-    return _HANDLERS[command](scn, opts)
+    spec = _COMMANDS[command]
+    if spec.needs is not None and scn.is_classical:
+        raise IncompatibleCommandError(f"command {command!r} needs a quantum scenario; {scn.name!r} is classical")
+    if spec.needs == "composite" and (scn.composite is None or len(scn.composite.factors) < 2):
+        raise IncompatibleCommandError(f"command {command!r} needs a composite scenario with at least two factors")
+    return spec.handler(scn, opts)
 
 
 def main(argv=None) -> int:

@@ -104,10 +104,14 @@ class Eventuality:
     def from_span(cls, space: HilbertSpace, vectors, tol: float = RANK_TOL) -> "Eventuality":
         """Subspace spanned by the given vectors. Dependent directions
         collapse; near-zero residuals (norm < tol) are dropped. An empty
-        span is the null subspace."""
+        span is the null subspace. A vector whose norm overflows a float
+        is a ValueError: its direction cannot be computed."""
         cols = _as_column_list(space, vectors)
         if not cols:
             return cls.null(space)
+        with np.errstate(over="ignore"):
+            if not all(np.isfinite(np.linalg.norm(c)) for c in cols):
+                raise ValueError("spanning vector norm overflows a float")
         return cls(space, _pivoted_orthonormalize(cols, tol))
 
     @classmethod

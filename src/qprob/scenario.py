@@ -144,9 +144,23 @@ def _validate_structure(doc: dict, origin: str) -> None:
         raise _fail(f"{origin}: schema violation at {where}: {error.message}")
 
 
+def _too_large(what: str) -> ScenarioParseError:
+    # json reads an integer literal as an exact int, which can lie past the float range.
+    return ScenarioParseError(f"{what}: integer literal too large for a float")
+
+
+def _float(value, what: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise _too_large(what) from None
+
+
 def _complex_array(rows, what: str) -> np.ndarray:
     try:
         arr = np.array(rows, dtype=np.float64)
+    except OverflowError:
+        raise _too_large(what) from None
     except (TypeError, ValueError) as exc:
         raise _fail(f"{what}: entries must be [re, im] number pairs") from exc
     return arr[..., 0] + 1j * arr[..., 1]
@@ -180,7 +194,7 @@ def _build_quantum(doc: dict, origin: str) -> dict:
     state_vector: Vec | None = None
     try:
         if state_doc["kind"] == "diagonal":
-            weights = [float(w) for w in state_doc["weights"]]
+            weights = [_float(w, f"{origin}: state weight") for w in state_doc["weights"]]
             if len(weights) != full.dim:
                 raise _fail(
                     f"{origin}: state: {len(weights)} diagonal weights do not fit dimension {full.dim}"
@@ -219,7 +233,10 @@ def _build_quantum(doc: dict, origin: str) -> dict:
                     f"{origin}: observable {oid!r} channel {ch['label']!r}: vectors of length "
                     f"{vectors.shape[1]} do not fit space {space.label!r} of dimension {space.dim}"
                 )
-            event = Eventuality.from_span(space, list(vectors))
+            try:
+                event = Eventuality.from_span(space, list(vectors))
+            except ValueError as exc:
+                raise _fail(f"{origin}: observable {oid!r} channel {ch['label']!r}: {exc}") from exc
             if event.is_null:
                 raise _fail(f"{origin}: observable {oid!r} channel {ch['label']!r}: channel spans nothing")
             channels.append(event)
@@ -243,8 +260,9 @@ def _build_quantum(doc: dict, origin: str) -> dict:
                 raise _fail(
                     f"{origin}: observable {oid!r}: {len(item['values'])} values for {len(channels)} channels"
                 )
+            values = tuple(_float(v, f"{origin}: observable {oid!r} values") for v in item["values"])
             try:
-                quantitative = QuantitativeObservable(obs, tuple(float(v) for v in item["values"]))
+                quantitative = QuantitativeObservable(obs, values)
             except ValueError as exc:
                 raise _fail(f"{origin}: observable {oid!r}: {exc}") from exc
         observables.append(ScenarioObservable(oid, space.label, obs, quantitative, check))
@@ -254,9 +272,10 @@ def _build_quantum(doc: dict, origin: str) -> dict:
     for item in doc.get("observers", ()):
         if any(o.id == item["id"] for o in observers):
             raise _fail(f"{origin}: duplicate observer id {item['id']!r}")
+        what = f"{origin}: observer {item['id']!r}"
         kwargs = {
-            "lifetime": float(item.get("lifetime", 1.0)),
-            "perception_duration": float(item.get("perception_duration", 1.0)),
+            "lifetime": _float(item.get("lifetime", 1.0), f"{what} lifetime"),
+            "perception_duration": _float(item.get("perception_duration", 1.0), f"{what} perception_duration"),
         }
         try:
             if "observable" in item:
@@ -270,7 +289,7 @@ def _build_quantum(doc: dict, origin: str) -> dict:
             elif "branch_channels" in item:
                 observer = ObserverModel(item["id"], branch_channels=int(item["branch_channels"]), **kwargs)
             else:
-                observer = ObserverModel(item["id"], entropy_value=float(item["entropy"]), **kwargs)
+                observer = ObserverModel(item["id"], entropy_value=_float(item["entropy"], f"{what} entropy"), **kwargs)
         except ValueError as exc:
             raise _fail(f"{origin}: {exc}") from exc
         observers.append(observer)
@@ -312,14 +331,15 @@ def _build_profile(doc: dict, origin: str) -> LifetimeProfile | None:
         return None
     segments = []
     for k, item in enumerate(doc["lifetime_profile"]["segments"]):
+        what = f"{origin}: lifetime profile segment {k + 1}"
         kwargs = {
-            "duration": float(item["duration"]),
-            "perception_duration": float(item["perception_duration"]),
+            "duration": _float(item["duration"], f"{what} duration"),
+            "perception_duration": _float(item["perception_duration"], f"{what} perception_duration"),
         }
         if "branch_channels" in item:
             kwargs["branch_channels"] = int(item["branch_channels"])
         else:
-            kwargs["entropy_value"] = float(item["entropy"])
+            kwargs["entropy_value"] = _float(item["entropy"], f"{what} entropy")
         try:
             segments.append(LifetimeSegment(**kwargs))
         except ValueError as exc:

@@ -101,9 +101,16 @@ class Scheme:
 
 
 class _EntropySource:
-    """What observers and lifetime segments share: exactly one entropy
-    source, read out as a capacity. Subclasses carry `branch_channels` and
-    `entropy_value`."""
+    """What observers and lifetime segments share: positive, finite
+    durations and exactly one entropy source, read out as a capacity.
+    Subclasses carry `branch_channels` and `entropy_value`."""
+
+    def _check_positive(self, prefix: str, quantities: dict[str, float]) -> None:
+        for name, value in quantities.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{prefix}{name} must be finite, got {value}")
+            if value <= 0:
+                raise ValueError(f"{prefix}{name} must be positive, got {value}")
 
     def _check_source(self, names: tuple[str, ...], prefix: str = "", scope: str = "") -> None:
         # `names` are the attributes that each count as an entropy source.
@@ -113,6 +120,8 @@ class _EntropySource:
             not isinstance(self.branch_channels, int) or self.branch_channels < 1
         ):
             raise ValueError(f"{prefix}branch_channels must be a positive integer, got {self.branch_channels!r}")
+        if self.entropy_value is not None and not math.isfinite(self.entropy_value):
+            raise ValueError(f"{prefix}entropy must be finite, got {self.entropy_value}")
         if self.entropy_value is not None and self.entropy_value < 0:
             raise ValueError(f"{prefix}entropy must be nonnegative, got {self.entropy_value}")
 
@@ -143,13 +152,9 @@ class ObserverModel(_EntropySource):
     channel_rank: int | None = None
 
     def __post_init__(self):
-        if self.lifetime <= 0:
-            raise ValueError(f"observer {self.id!r}: lifetime must be positive, got {self.lifetime}")
-        if self.perception_duration <= 0:
-            raise ValueError(
-                f"observer {self.id!r}: perception duration must be positive, got {self.perception_duration}"
-            )
-        self._check_source(("observable", "branch_channels", "entropy_value"), prefix=f"observer {self.id!r}: ")
+        prefix = f"observer {self.id!r}: "
+        self._check_positive(prefix, {"lifetime": self.lifetime, "perception duration": self.perception_duration})
+        self._check_source(("observable", "branch_channels", "entropy_value"), prefix=prefix)
         if self.observable is not None:
             ranks = sorted({ch.rank for ch in self.observable.channels})
             if len(ranks) != 1:
@@ -277,10 +282,7 @@ class LifetimeSegment(_EntropySource):
     entropy_value: float | None = None
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError(f"segment duration must be positive, got {self.duration}")
-        if self.perception_duration <= 0:
-            raise ValueError(f"segment perception duration must be positive, got {self.perception_duration}")
+        self._check_positive("segment ", {"duration": self.duration, "perception duration": self.perception_duration})
         self._check_source(("branch_channels", "entropy_value"), scope=" per segment")
 
 

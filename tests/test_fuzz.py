@@ -4,7 +4,8 @@ finite value must still give a clean outcome from the command line.
 Each example copies a preset or the midlife scenario, replaces one number
 anywhere in the document, and runs every command that applies to it
 through `main`. Whatever the value, the exit status is 0, 1 or 2, no
-exception escapes, and a successful run prints no NaN or infinity.
+exception escapes, no numeric RuntimeWarning is raised, and a successful
+run prints no NaN or infinity.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import tempfile
 from importlib import resources
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +25,11 @@ from tests.test_golden import APPLICABLE, COLLAPSE_TARGETS
 
 ROOT = Path(__file__).resolve().parent.parent
 
-EXTREMES = (0.0, -0.0, -1.0, 5e-324, -5e-324, 1e-300, 1e16, 2.0**53 + 2, 1e308, -1e308, 1.7976931348623157e308)
+# 10**400 is written as an integer literal too large for a float.
+EXTREMES = (
+    0.0, -0.0, -1.0, 5e-324, -5e-324, 1e-300, 1e16, 2.0**53 + 2, 1e200, 1e308, -1e308,
+    1.7976931348623157e308, 10**400,
+)
 
 SOURCES = {
     name: resources.files("qprob").joinpath(f"presets/{name}.json").read_text(encoding="utf-8")
@@ -58,10 +64,13 @@ cases = st.sampled_from(sorted(SOURCES)).flatmap(
 )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(case=cases)
 @example(case=("midlife", ("lifetime_profile", "segments", 0, "duration"), 1e308))
 @example(case=("midlife", ("lifetime_profile", "segments", 1, "perception_duration"), 5e-324))
+@example(case=("midlife", ("lifetime_profile", "segments", 1, "duration"), 10**400))
+@example(case=("stern-gerlach", ("observables", 0, "channels", 0, "vectors", 0, 0, 0), 1e200))
 def test_extreme_leaf_gives_a_clean_outcome(case):
     name, path, value = case
     doc = json.loads(SOURCES[name])

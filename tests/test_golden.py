@@ -2,7 +2,8 @@
 
 Covers every criterion-10 preset x command x format, the three collapse
 targets, the midlife lifetime scenario and a dense scenario whose tables
-have complex cells. A refactor that means to keep the output must pass
+have complex cells. Requests that qprob refuses are frozen with their
+stderr too. A refactor that means to keep the output must pass
 this unchanged. A change that means to alter the output regenerates the
 file and shows the new bytes in review:
 
@@ -46,6 +47,33 @@ COMPLEX_COMMANDS = (
     ("check",),
 )
 
+# Requests qprob itself refuses: a command on a scenario of the wrong kind,
+# and flags naming what the scenario lacks. argparse usage errors are left
+# out because their text depends on the terminal width and Python version.
+ERROR_ARGVS = [
+    *(
+        [command, "--preset", "coin"]
+        for command in ("joint", "conditional", "luder", "branches", "net", "lifetime")
+    ),
+    ["collapse", "--preset", "coin", "--on", "reading:up"],
+    ["joint", "--preset", "stern-gerlach"],
+    ["conditional", "--preset", "stern-gerlach"],
+    ["net", "--preset", "stern-gerlach"],
+    ["net", "--preset", "cat-box"],
+    ["lifetime", "--preset", "cat-master"],
+    ["joint", "--preset", "cat-box", "--rows", "reading", "--cols", "reading"],
+    ["joint", "--preset", "cat-box", "--rows", "nothing"],
+    ["joint", "--preset", "cat-box", "--cols", "nothing"],
+    ["luder", "--preset", "cat-box", "--obs", "nothing"],
+    ["branches", "--preset", "cat-box", "--obs", "nothing"],
+    ["collapse", "--preset", "cat-box", "--on", "nothing:up"],
+    ["collapse", "--preset", "cat-box", "--on", "reading:sideways"],
+    ["collapse", "--preset", "cat-box", "--on", "reading"],
+    ["conditional", "--preset", "cat-box", "--given", "nothing:up"],
+    ["conditional", "--preset", "cat-box", "--given", "reading"],
+    ["conditional", "--preset", "cat-box", "--given", "reading:up", "--target", "nothing"],
+]
+
 
 def golden_argvs() -> list[list[str]]:
     argvs = []
@@ -79,16 +107,29 @@ def test_output_matches_golden(argv, capsys):
     assert out == case["stdout"]
 
 
+@pytest.mark.parametrize("argv", ERROR_ARGVS, ids=" ".join)
+def test_error_matches_golden(argv, capsys):
+    case = _load_golden()[" ".join(argv)]
+    code = main(_resolve(argv))
+    captured = capsys.readouterr()
+    assert code == case["exit"]
+    assert captured.out == case["stdout"]
+    assert captured.err == case["stderr"]
+
+
 def _regenerate() -> None:
-    from contextlib import redirect_stdout
+    from contextlib import redirect_stderr, redirect_stdout
     from io import StringIO
 
     cases = []
-    for argv in golden_argvs():
-        buf = StringIO()
-        with redirect_stdout(buf):
+    for argv in golden_argvs() + ERROR_ARGVS:
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
             code = main(_resolve(argv))
-        cases.append({"argv": argv, "exit": code, "stdout": buf.getvalue()})
+        case = {"argv": argv, "exit": code, "stdout": out.getvalue()}
+        if argv in ERROR_ARGVS:
+            case["stderr"] = err.getvalue()
+        cases.append(case)
     GOLDEN.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
     sys.stdout.write(f"wrote {len(cases)} cases to {GOLDEN}\n")
 

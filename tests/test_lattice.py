@@ -29,6 +29,13 @@ def test_from_span_drops_dependent_vectors():
     assert cheb_norm(e.projector.entries - np.diag([1.0, 0])) < 1e-12
 
 
+@pytest.mark.parametrize("entry", [1e308, 1e155, -1e200j])
+def test_from_span_rejects_an_overflowing_norm(entry):
+    # Its norm is inf, so the direction would be lost as a null residual.
+    with pytest.raises(ValueError, match="norm overflows a float"):
+        Eventuality.from_span(S2, [KET1, Vec(S2, [entry, 0])])
+
+
 def test_from_basis_states_projector():
     e = Eventuality.from_basis_states(S4, [0, 3])
     assert e.rank == 2

@@ -142,9 +142,11 @@ MALFORMED_EXPECTATIONS = [
     ("15_bad_measure_sum.json", "measure must total 1"),
     ("16_nan_duration.json", "non-finite number NaN is not allowed"),
     ("17_overflow_lifetime.json", "non-finite number 1e999 is not allowed"),
+    ("18_huge_integer_duration.json", "segment 1 duration: integer literal too large for a float"),
+    ("19_overflowing_channel_vector.json", "channel 'up': spanning vector norm overflows a float"),
 ]
-# Non-finite numbers are refused while the json is read, before validation.
-PARSE_FAILURES = {"16_nan_duration.json", "17_overflow_lifetime.json"}
+# Numbers a float cannot hold are refused as read, not as invariant violations.
+PARSE_FAILURES = {"16_nan_duration.json", "17_overflow_lifetime.json", "18_huge_integer_duration.json"}
 
 
 @pytest.mark.parametrize("filename,needle", MALFORMED_EXPECTATIONS)

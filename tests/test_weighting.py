@@ -114,6 +114,17 @@ def test_observer_model_guards():
         ObserverModel("ragged", observable=ragged)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_observer_model_rejects_non_finite(value):
+    # Left through, these reach the weights: lifetime inf gave weights [nan, 0].
+    with pytest.raises(ValueError, match="observer 'late': lifetime must be finite"):
+        observer("late", 2, lifetime=value)
+    with pytest.raises(ValueError, match="observer 'slow': perception duration must be finite"):
+        observer("slow", 2, tau=value)
+    with pytest.raises(ValueError, match="observer 'vast': entropy must be finite"):
+        ObserverModel("vast", entropy_value=value)
+
+
 def test_weights_weak():
     w = weights_weak([observer("a", 2), observer("b", 4), observer("c", 8)])
     assert w == pytest.approx([1 / 3, 1 / 3, 1 / 3])
@@ -212,6 +223,16 @@ def test_lifetime_segment_guards():
         LifetimeSegment(1.0, 1.0, branch_channels=2, entropy_value=1.0)
     with pytest.raises(ValueError):
         LifetimeProfile(())
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_lifetime_segment_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="segment duration must be finite"):
+        LifetimeSegment(value, 1.0, branch_channels=2)
+    with pytest.raises(ValueError, match="segment perception duration must be finite"):
+        LifetimeSegment(1.0, value, branch_channels=2)
+    with pytest.raises(ValueError, match="entropy must be finite"):
+        LifetimeSegment(1.0, 1.0, entropy_value=value)
 
 
 def test_lifetime_distribution_two_segment_exact():
