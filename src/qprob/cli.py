@@ -21,22 +21,23 @@ import numpy as np
 
 from . import __version__
 from .engine import (
-    ZERO_PROBABILITY_THRESHOLD,
     _INVARIANTS,
     JointProbabilityMatrix,
     _correlation_report,
     born,
     branch_decompose,
     collapse,
-    conditional,
-    joint_matrix,
+    factor_conditional,
+    factor_joint,
     luder,
+    reduce_composite,
 )
 from .errors import (
     IncompatibleCommandError,
     QprobError,
     ScenarioParseError,
     UnknownPresetError,
+    ZeroProbabilityError,
 )
 from .hilbert import INVARIANT_TOL
 from .lattice import CLASSICAL_SUM_TOL
@@ -128,9 +129,18 @@ def _observable(scn: Scenario, obs_id: str) -> ScenarioObservable:
 
 
 def _lifted(scn: Scenario, obs: Observable) -> Observable:
+    # Only the commands whose output is a D x D operator lift.
     if scn.composite is None:
         return obs
     return lift(obs, scn.composite)
+
+
+def _gross(scn: Scenario, obs: Observable) -> list[float]:
+    # On a composite, from the operator reduced to the observable's factor.
+    state = scn.state
+    if scn.composite is not None:
+        state = reduce_composite(state, scn.composite, scn.composite.factor_index(obs.space))
+    return [born(state, ch) for ch in obs.channels]
 
 
 def _channel_ref(scn: Scenario, text: str, flag: str):
@@ -286,12 +296,10 @@ def _cmd_gross(scn: Scenario, opts: Options) -> Report:
         probs = [e.event.prob() for e in scn.events]
         sections.append(_probability_table("event probabilities", labels, probs))
     else:
-        state = scn.state
         for sobs in scn.observables:
-            lifted = _lifted(scn, sobs.observable)
-            probs = [born(state, ch) for ch in lifted.channels]
+            probs = _gross(scn, sobs.observable)
             sections.append(_probability_table(
-                f"gross probabilities: observable '{sobs.id}'", lifted.labels, probs
+                f"gross probabilities: observable '{sobs.id}'", sobs.observable.labels, probs
             ))
             if sobs.quantitative is not None:
                 value = sum(v * p for v, p in zip(sobs.quantitative.values, probs))
@@ -305,7 +313,7 @@ def _cmd_gross(scn: Scenario, opts: Options) -> Report:
 def _joint(scn: Scenario, rows: ScenarioObservable, cols: ScenarioObservable,
            opts: Options) -> JointProbabilityMatrix:
     # --tol sets the commutation tolerance, but never below the invariant tolerance.
-    return joint_matrix(scn.state, _lifted(scn, rows.observable), _lifted(scn, cols.observable),
+    return factor_joint(scn.state, scn.composite, rows.observable, cols.observable,
                         tol=max(opts.tol, INVARIANT_TOL))
 
 
@@ -325,7 +333,7 @@ def _cmd_joint(scn: Scenario, opts: Options) -> Report:
 
 
 def _cmd_conditional(scn: Scenario, opts: Options) -> Report:
-    state = scn.state
+    state, comp = scn.state, scn.composite
     if opts.given:
         sobs, index = _channel_ref(scn, opts.given, "--given")
         if opts.target:
@@ -335,8 +343,7 @@ def _cmd_conditional(scn: Scenario, opts: Options) -> Report:
             if not others:
                 raise IncompatibleCommandError("no observable on another factor to condition; pass --target")
             target = others[0]
-        given_event = _lifted(scn, sobs.observable).channels[index]
-        probs = conditional(state, given_event, _lifted(scn, target.observable))
+        probs = factor_conditional(state, comp, sobs.observable.channels[index], target.observable)
         label = f"{sobs.id}:{sobs.observable.labels[index]}"
         table = RenderedTable(
             f"probabilities of '{target.id}' given '{label}'",
@@ -348,19 +355,16 @@ def _cmd_conditional(scn: Scenario, opts: Options) -> Report:
 
     rows = _factor_observable(scn, 0, "conditional")
     target = _factor_observable(scn, 1, "conditional")
-    lifted_rows = _lifted(scn, rows.observable)
-    lifted_target = _lifted(scn, target.observable)
     kept_labels = []
     cells = []
     skipped = []
-    for label, ch in zip(lifted_rows.labels, lifted_rows.channels):
-        p = born(state, ch)
-        if p <= ZERO_PROBABILITY_THRESHOLD:
+    for label, ch in zip(rows.observable.labels, rows.observable.channels):
+        try:
+            cells.append(factor_conditional(state, comp, ch, target.observable))
+        except ZeroProbabilityError:
             skipped.append(label)
             continue
-        probs = conditional(state, ch, lifted_target)
         kept_labels.append(f"{rows.id}:{label}")
-        cells.append(probs)
     sections: list = [RenderedTable(
         f"probabilities of '{target.id}' given channels of '{rows.id}'",
         tuple(kept_labels),
@@ -432,7 +436,6 @@ def _cmd_net(scn: Scenario, opts: Options) -> Report:
     if scn.weighting is None:
         raise IncompatibleCommandError(f"scenario {scn.name!r} defines no weighting scheme")
     scheme = Scheme(scn.weighting.variant, _log_base(scn, opts))
-    state = scn.state
 
     gross = []
     channel_labels = []
@@ -441,9 +444,8 @@ def _cmd_net(scn: Scenario, opts: Options) -> Report:
             raise IncompatibleCommandError(
                 f"observer {o.id!r} has no perception observable; gross probabilities are undefined"
             )
-        lifted = _lifted(scn, o.observable)
-        gross.append([born(state, ch) for ch in lifted.channels])
-        channel_labels.append(lifted.labels)
+        gross.append(_gross(scn, o.observable))
+        channel_labels.append(o.observable.labels)
     table = net_table(scheme, scn.observers, gross)
 
     sections: list = []

@@ -4,10 +4,12 @@ A probability operator is a hermitian, unit-trace, positive semidefinite
 operator; the probability it assigns to an eventuality is tr(P e). On
 composites, reduced operators arise by partial trace, joint tables by
 pairing commuting lifted observables, and conditioning by the projector
-sandwich e P e / tr(P e). Decoherence of a provisional operator over an
-observable is the sandwich sum over its channels; pure inputs decompose
-into branch vectors. Conditioning on an eventuality of probability below
-the zero threshold is a loud error, never a silent NaN.
+sandwich e P e / tr(P e); `factor_joint` and `factor_conditional` give
+the same tables for factor-local observables from reduced operators.
+Decoherence of a provisional operator over an observable is the sandwich
+sum over its channels; pure inputs decompose into branch vectors.
+Conditioning on an eventuality of probability below the zero threshold
+is a loud error, never a silent NaN.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ __all__ = [
     "reduce_composite",
     "collapse",
     "joint_matrix",
+    "factor_joint",
     "conditional",
+    "factor_conditional",
     "luder",
     "branch_decompose",
     "heisenberg_transport",
@@ -125,6 +129,9 @@ class ProbabilityOperator:
         w = np.array(list(weights), dtype=np.float64)
         if w.shape != (space.dim,):
             raise ValueError(f"{w.shape[0]} weights do not fit dim {space.dim}")
+        bad = np.flatnonzero(~np.isfinite(w))
+        if bad.size:
+            raise ValueError(f"diagonal weight {bad[0]} is {w[bad[0]]}; weights must be finite")
         return cls(space, Op(space, np.diag(w.astype(np.complex128))))
 
     def __repr__(self) -> str:
@@ -150,6 +157,16 @@ def reduce_composite(state, comp: CompositeSpace, keep: int) -> ProbabilityOpera
     return ProbabilityOperator(reduced.space, reduced)
 
 
+def _conditionable(p: float, threshold: float) -> float:
+    if p <= threshold:
+        raise ZeroProbabilityError(
+            f"cannot condition on an eventuality of probability {p:.3e} (threshold {threshold:.0e})",
+            probability=p,
+            threshold=threshold,
+        )
+    return p
+
+
 class CollapseResult(NamedTuple):
     operator: ProbabilityOperator
     probability: float
@@ -165,13 +182,7 @@ def collapse(
     Conditioning on an eventuality of probability <= threshold raises
     ZeroProbabilityError.
     """
-    p = born(prob, e)
-    if p <= threshold:
-        raise ZeroProbabilityError(
-            f"cannot condition on an eventuality of probability {p:.3e} (threshold {threshold:.0e})",
-            probability=p,
-            threshold=threshold,
-        )
+    p = _conditionable(born(prob, e), threshold)
     proj = e.projector
     sandwich = proj @ prob.matrix @ proj
     return CollapseResult(ProbabilityOperator(prob.space, sandwich / p), p)
@@ -234,6 +245,88 @@ def conditional(
     """Probabilities of the target channels after conditioning on `given`."""
     cond = collapse(prob, given, threshold).operator
     return np.array([born(cond, ch) for ch in target.channels], dtype=np.float64)
+
+
+# -- factor-local tables ------------------------------------------------
+#
+# On a composite, a table over factor-local observables depends only on
+# the operator reduced to their factors (Nielsen & Chuang, section 2.4.3):
+# tr(P (a_i x b_j)) = tr(P_kl (a_i x b_j)) with P_kl the partial trace onto
+# factors k and l. Neither function below builds a lifted D x D projector:
+# `factor_joint` contracts the reduced operator, with one axis per factor
+# index, against the stacked factor projectors; `factor_conditional`
+# reduces a compressed a-posteriori operator the same way.
+
+# Contract the operator with the first projector stack, then with the
+# second: the intermediate has one projector index and two factor indices.
+_PAIRWISE = ["einsum_path", (0, 1), (0, 1)]
+
+
+def _projectors(obs: Observable) -> np.ndarray:
+    return np.array([ch.projector.entries for ch in obs.channels])
+
+
+def factor_joint(
+    prob: ProbabilityOperator,
+    comp: CompositeSpace,
+    rows: Observable,
+    cols: Observable,
+    tol: float = INVARIANT_TOL,
+) -> JointProbabilityMatrix:
+    """Joint probability table of two observables on factors of a
+    composite: the numbers `joint_matrix` gives for their lifts. On
+    different factors the lifts commute exactly; two observables on one
+    factor must commute within tol, checked on the factor projectors
+    ([A x I, B x I] = [A, B] x I has the same residual)."""
+    k, l = comp.factor_index(rows.space), comp.factor_index(cols.space)
+    a, b = _projectors(rows), _projectors(cols)
+    if k == l:
+        _require_commuting(rows, cols, tol)
+        reduced = partial_trace(prob.matrix, comp, k).entries
+        table = np.einsum("xy,iyz,jzx->ij", reduced, a, b, optimize=_PAIRWISE)
+    else:
+        n, m = comp.factors[k].dim, comp.factors[l].dim
+        reduced = partial_trace(prob.matrix, comp, (k, l)).entries.reshape(n, m, n, m)
+        table = np.einsum("xyzw,izx,jwy->ij", reduced, a, b, optimize=_PAIRWISE)
+    return JointProbabilityMatrix(rows, cols, table.real)
+
+
+def factor_conditional(
+    prob: ProbabilityOperator,
+    comp: CompositeSpace,
+    given: Eventuality,
+    target: Observable,
+    threshold: float = ZERO_PROBABILITY_THRESHOLD,
+) -> np.ndarray:
+    """Probabilities of the target channels after conditioning on an
+    eventuality of one factor of a composite: the numbers `conditional`
+    gives for their lifts.
+
+    The a-posteriori operator is built compressed: with V the basis of
+    `given` (rank r on factor k) and W = I x V x I, W^dag P W / p lives on
+    the composite with factor k replaced by the r-dimensional range of V.
+    It has the nonzero spectrum of e P e / p, so the three
+    probability-operator checks `collapse` runs on e P e / p run on it,
+    on a matrix of side r * D / n. Reduced to the target's factor, it
+    gives each target probability as a joint entry over the marginal p.
+    """
+    if prob.space != comp.space:
+        raise SpaceMismatchError(f"operator on {prob.space} does not live on the composite {comp.space}")
+    k, l = comp.factor_index(given.space), comp.factor_index(target.space)
+    v = given.basis_matrix
+    before, after = comp.dim_before(k), comp.dim_after(k)
+    boxed = prob.matrix.entries.reshape(before, v.shape[0], after, before, v.shape[0], after)
+    half = np.tensordot(v.conj(), boxed, axes=(0, 1))  # r, before, after, before, n, after
+    sandwich = np.tensordot(half, v, axes=(4, 0)).transpose(1, 0, 2, 3, 5, 4)
+    kept = CompositeSpace(comp.factors[:k] + (HilbertSpace(given.rank, "range"),) + comp.factors[k + 1:])
+    sandwich = sandwich.reshape(kept.dim, kept.dim)
+    p = _conditionable(float(np.trace(sandwich).real), threshold)
+    posterior = ProbabilityOperator.from_entries(kept.space, sandwich / p)
+    reduced = partial_trace(posterior.matrix, kept, l).entries
+    b = _projectors(target)
+    if k == l:
+        b = v.conj().T @ b @ v  # the target channels compressed to the range of V
+    return np.einsum("xy,jyx->j", reduced, b).real
 
 
 def luder(prob: ProbabilityOperator, obs: Observable) -> ProbabilityOperator:

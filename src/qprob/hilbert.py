@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from string import ascii_lowercase
+from string import ascii_lowercase, ascii_uppercase
 
 import numpy as np
 
@@ -262,27 +262,37 @@ def tensor(a, b):
     raise TypeError("tensor expects two Vec or two Op arguments")
 
 
-def partial_trace(m: Op, comp: CompositeSpace, keep: int) -> Op:
+def partial_trace(m: Op, comp: CompositeSpace, keep: int | tuple[int, ...]) -> Op:
     """Trace out every factor of `comp` except `keep`.
 
-    The operator must live on exactly the composite's product space;
-    anything else is a structural error, not a reshape guess.
+    `keep` is one factor index, giving an operator on that factor, or an
+    ordered tuple of distinct indices, giving an operator on the product
+    of those factors in that order (the first is the slow index). The
+    operator must live on exactly the composite's product space; anything
+    else is a structural error, not a reshape guess.
     """
     if m.space != comp.space:
         raise SpaceMismatchError(
             f"operator on {m.space} (dim {m.space.dim}) does not match factorization {comp.space} (dim {comp.dim})"
         )
     n = len(comp.factors)
-    if not 0 <= keep < n:
-        raise ValueError(f"keep index {keep} out of range for {n} factors")
+    kept = (keep,) if isinstance(keep, int) else tuple(keep)
+    for k in kept:
+        if not 0 <= k < n:
+            raise ValueError(f"keep index {k} out of range for {n} factors")
+    if not kept or len(set(kept)) != len(kept):
+        raise ValueError(f"keep indices {kept} must be distinct and not empty")
     dims = comp.dims
     boxed = m.entries.reshape(dims + dims)
     row = ascii_lowercase[:n]
     col = list(row)
-    col[keep] = "z"
-    subscript = f"{row}{''.join(col)}->{row[keep]}{col[keep]}"
-    reduced = np.einsum(subscript, boxed)
-    return Op(comp.factors[keep], reduced)
+    for k in kept:
+        col[k] = ascii_uppercase[k]
+    subscript = f"{row}{''.join(col)}->{''.join(row[k] for k in kept)}{''.join(col[k] for k in kept)}"
+    size = math.prod(dims[k] for k in kept)
+    reduced = np.einsum(subscript, boxed).reshape(size, size)
+    space = comp.factors[kept[0]] if len(kept) == 1 else _product_space(*(comp.factors[k] for k in kept))
+    return Op(space, reduced)
 
 
 STRUCTURE_KINDS = ("hermitian", "unitary", "projector", "psd")

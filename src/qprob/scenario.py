@@ -128,8 +128,17 @@ def _parse(text: str, origin: str) -> dict:
             non_finite(literal)
         return value
 
+    def bounded_int(literal: str) -> int:
+        # int() refuses literals longer than the interpreter's digit limit.
+        try:
+            return int(literal)
+        except ValueError:
+            raise ScenarioParseError(
+                f"{origin}: integer literal of {len(literal.lstrip('-'))} digits is too long to read"
+            ) from None
+
     try:
-        return json.loads(text, parse_constant=non_finite, parse_float=finite_float)
+        return json.loads(text, parse_constant=non_finite, parse_float=finite_float, parse_int=bounded_int)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"{origin}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"

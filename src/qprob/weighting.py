@@ -100,6 +100,15 @@ class Scheme:
         _log(2.0, self.log_base)  # reject unsupported bases early
 
 
+def _require_finite(what: str, value) -> None:
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{what} must be finite, got an integer too large for a float") from None
+    if not finite:
+        raise ValueError(f"{what} must be finite, got {value}")
+
+
 class _EntropySource:
     """What observers and lifetime segments share: positive, finite
     durations and exactly one entropy source, read out as a capacity.
@@ -107,8 +116,7 @@ class _EntropySource:
 
     def _check_positive(self, prefix: str, quantities: dict[str, float]) -> None:
         for name, value in quantities.items():
-            if not math.isfinite(value):
-                raise ValueError(f"{prefix}{name} must be finite, got {value}")
+            _require_finite(f"{prefix}{name}", value)
             if value <= 0:
                 raise ValueError(f"{prefix}{name} must be positive, got {value}")
 
@@ -120,10 +128,10 @@ class _EntropySource:
             not isinstance(self.branch_channels, int) or self.branch_channels < 1
         ):
             raise ValueError(f"{prefix}branch_channels must be a positive integer, got {self.branch_channels!r}")
-        if self.entropy_value is not None and not math.isfinite(self.entropy_value):
-            raise ValueError(f"{prefix}entropy must be finite, got {self.entropy_value}")
-        if self.entropy_value is not None and self.entropy_value < 0:
-            raise ValueError(f"{prefix}entropy must be nonnegative, got {self.entropy_value}")
+        if self.entropy_value is not None:
+            _require_finite(f"{prefix}entropy", self.entropy_value)
+            if self.entropy_value < 0:
+                raise ValueError(f"{prefix}entropy must be nonnegative, got {self.entropy_value}")
 
     def entropy(self, log_base=2) -> float:
         """Entropy capacity in the given base; a direct entropy value is

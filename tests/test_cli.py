@@ -118,6 +118,19 @@ def test_lifetime_overflowing_mass_exits_two(capsys, tmp_path):
     assert "non-finite total perception mass" in err
 
 
+@pytest.mark.parametrize("field, value", [("duration", "40"), ("branch_channels", "1024")])
+def test_integer_literal_past_the_digit_limit_exits_one(capsys, tmp_path, field, value):
+    # Python's int() refuses more than 4,300 digits; that is a parse error
+    # naming the file, like 1e999, not a bare ValueError.
+    text = MIDLIFE.read_text()
+    assert text.count(f'"{field}": {value},') == 1
+    path = tmp_path / "long.json"
+    path.write_text(text.replace(f'"{field}": {value},', f'"{field}": {"9" * 5001},'))
+    code, out, err = run(capsys, "lifetime", "--scenario", str(path))
+    assert code == 1 and out == ""
+    assert err == f"qprob: error: {path}: integer literal of 5001 digits is too long to read\n"
+
+
 def test_lifetime_requires_profile(capsys):
     code, _, err = run(capsys, "lifetime", "--preset", "cat-master")
     assert code == 1
@@ -228,6 +241,31 @@ def test_non_psd_collapse_exits_two(capsys, tmp_path):
     code, out, err = run(capsys, "collapse", "--scenario", str(path), "--on", "z:tail")
     assert code == 2 and out == ""
     assert "positive semidefinite" in err
+
+
+def test_non_psd_conditional_exits_two(capsys, tmp_path):
+    # The composite form of the magnified state above: conditioning on
+    # za:d divides by p = 1e-11, and the compressed a-posteriori operator
+    # must fail the same PSD check the D x D one did.
+    path = tmp_path / "magnified-composite.json"
+    basis = [{"label": "u", "vectors": [[[1, 0], [0, 0]]]}, {"label": "d", "vectors": [[[0, 0], [1, 0]]]}]
+    payload = {
+        "name": "magnified-composite",
+        "spaces": [{"id": "a", "dim": 2}, {"id": "b", "dim": 2}],
+        "composite": ["a", "b"],
+        "state": {"kind": "diagonal", "weights": [1 - 1e-11, 0, 6e-11, -5e-11]},
+        "observables": [
+            {"id": "za", "space": "a", "channels": basis},
+            {"id": "zb", "space": "b", "channels": basis},
+        ],
+    }
+    path.write_text(json.dumps(payload))
+    code, _, _ = run(capsys, "validate", "--scenario", str(path))
+    assert code == 0
+    for extra in ([], ["--given", "za:d"]):
+        code, out, err = run(capsys, "conditional", "--scenario", str(path), *extra)
+        assert code == 2 and out == "", extra
+        assert "positive semidefinite: residual 5.000e+00 exceeds 1e-10" in err, extra
 
 
 def test_joint_other_pair_keeps_default_correlation(capsys):

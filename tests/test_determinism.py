@@ -4,7 +4,9 @@ one thread or two.
 
 The scenario is a seeded 16 x 16 composite (D = 256) in a dense pure state,
 with a computational-basis observable on factor 1 and an observable on
-factor 2 whose channels are the columns of a random unitary.
+factor 2 whose channels are the columns of a random unitary. `luder` and
+`collapse` print D x D operators; `joint` and `conditional` print tables
+computed from reduced operators.
 """
 
 import json
@@ -51,7 +53,10 @@ def _dense_scenario() -> dict:
     }
 
 
-@pytest.mark.parametrize("command", [["luder", "--obs", "rotated-b"], ["collapse", "--on", "rotated-b:r3"]])
+@pytest.mark.parametrize(
+    "command",
+    [["luder", "--obs", "rotated-b"], ["collapse", "--on", "rotated-b:r3"], ["joint"], ["conditional"]],
+)
 def test_csv_bytes_do_not_depend_on_blas_threads(command, tmp_path):
     path = tmp_path / "dense.json"
     path.write_text(json.dumps(_dense_scenario()), encoding="utf-8")

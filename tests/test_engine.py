@@ -58,6 +58,13 @@ def test_probability_operator_invariants():
     assert all(r.passed and r.tol == PSD_TOL for r in state.checks)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_diagonal_rejects_non_finite_weights(bad):
+    # Left through, a NaN weight failed later as "must be hermitian: residual nan".
+    with pytest.raises(ValueError, match=f"diagonal weight 1 is {bad}; weights must be finite"):
+        ProbabilityOperator.diagonal(S4, [0.5, bad, 0.25, 0.25])
+
+
 def test_probability_operator_constructors():
     iso = ProbabilityOperator.isotropic(S4)
     assert cheb_norm(iso.matrix.entries - np.eye(4) / 4) == 0.0

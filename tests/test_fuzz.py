@@ -12,6 +12,7 @@ import contextlib
 import io
 import json
 import re
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -25,7 +26,8 @@ from tests.test_golden import APPLICABLE, COLLAPSE_TARGETS
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 10**400 is written as an integer literal too large for a float.
+# 10**400 is written as an integer literal too large for a float; 10**5000
+# (an @example) as one past the interpreter's 4,300-digit limit for int().
 EXTREMES = (
     0.0, -0.0, -1.0, 5e-324, -5e-324, 1e-300, 1e16, 2.0**53 + 2, 1e200, 1e308, -1e308,
     1.7976931348623157e308, 10**400,
@@ -57,6 +59,17 @@ def _numeric_leaves(node, path=()):
             yield from _numeric_leaves(child, path + (key,))
 
 
+def _dumps(doc) -> str:
+    # json.dumps spells an int with str(), which refuses as many digits as
+    # int() does; the scenario reader must still meet such a literal.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(doc)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 LEAVES = {name: list(_numeric_leaves(json.loads(text))) for name, text in SOURCES.items()}
 
 cases = st.sampled_from(sorted(SOURCES)).flatmap(
@@ -71,6 +84,8 @@ cases = st.sampled_from(sorted(SOURCES)).flatmap(
 @example(case=("midlife", ("lifetime_profile", "segments", 1, "perception_duration"), 5e-324))
 @example(case=("midlife", ("lifetime_profile", "segments", 1, "duration"), 10**400))
 @example(case=("stern-gerlach", ("observables", 0, "channels", 0, "vectors", 0, 0, 0), 1e200))
+@example(case=("midlife", ("lifetime_profile", "segments", 1, "duration"), 10**5000))
+@example(case=("midlife", ("lifetime_profile", "segments", 0, "branch_channels"), 10**5000))
 def test_extreme_leaf_gives_a_clean_outcome(case):
     name, path, value = case
     doc = json.loads(SOURCES[name])
@@ -80,7 +95,7 @@ def test_extreme_leaf_gives_a_clean_outcome(case):
     parent[path[-1]] = value
     with tempfile.TemporaryDirectory() as tmp:
         scenario = Path(tmp) / "mutated.json"
-        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        scenario.write_text(_dumps(doc), encoding="utf-8")
         for command in COMMANDS[name]:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

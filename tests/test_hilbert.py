@@ -217,12 +217,32 @@ def test_partial_trace_against_summation_oracle():
             assert cheb_norm(got.entries - want) < 1e-12
 
 
+def test_partial_trace_keeps_an_ordered_tuple_of_factors():
+    # tr_B(A x B x C), kept in the order (C, A), is tr(B) C x A.
+    rng = np.random.default_rng(7)
+    spaces = (HilbertSpace(2, "f0"), HilbertSpace(3, "f1"), HilbertSpace(2, "f2"))
+    a, b, c = (Op(s, rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim))) for s in spaces)
+    comp = CompositeSpace(spaces)
+    m = Op(comp.space, tensor(tensor(a, b), c).entries)
+    got = partial_trace(m, comp, (2, 0))
+    want = tensor(c, a) * b.trace()
+    assert got.space == want.space
+    assert cheb_norm(got.entries - want.entries) < 1e-12
+    assert cheb_norm(partial_trace(m, comp, (0, 1, 2)).entries - m.entries) == 0.0
+    single = partial_trace(m, comp, (1,))
+    assert single.space == spaces[1]
+    assert cheb_norm(single.entries - partial_trace(m, comp, 1).entries) == 0.0
+
+
 def test_partial_trace_requires_matching_space():
     comp = CompositeSpace((S2, S3))
     with pytest.raises(SpaceMismatchError):
         partial_trace(Op.identity(HilbertSpace(6, "flat")), comp, 0)
     with pytest.raises(ValueError):
         partial_trace(Op.identity(comp.space), comp, 2)
+    for keep in ((0, 2), (1, 1), ()):
+        with pytest.raises(ValueError):
+            partial_trace(Op.identity(comp.space), comp, keep)
 
 
 def test_structure_check_hermitian():

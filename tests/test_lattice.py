@@ -215,6 +215,10 @@ def test_classical_model_validation():
         ClassicalModel(("a", "b"), [0.7, 0.4])
     with pytest.raises(ValueError):
         ClassicalModel(("a", "b"), [-0.1, 1.1])
+    # the [0, 1] range check is also the finiteness check
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            ClassicalModel(("a", "b"), [bad, 1.0])
     with pytest.raises(ValueError):
         fair_die().event(["p1", "nope"])
 

@@ -114,7 +114,8 @@ def test_observer_model_guards():
         ObserverModel("ragged", observable=ragged)
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+# 10**400 is an int too large for a float: math.isfinite cannot even read it.
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="10**400")])
 def test_observer_model_rejects_non_finite(value):
     # Left through, these reach the weights: lifetime inf gave weights [nan, 0].
     with pytest.raises(ValueError, match="observer 'late': lifetime must be finite"):
@@ -225,7 +226,7 @@ def test_lifetime_segment_guards():
         LifetimeProfile(())
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="10**400")])
 def test_lifetime_segment_rejects_non_finite(value):
     with pytest.raises(ValueError, match="segment duration must be finite"):
         LifetimeSegment(value, 1.0, branch_channels=2)
