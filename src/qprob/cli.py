@@ -27,10 +27,10 @@ from .engine import (
     born,
     branch_decompose,
     collapse,
+    factor_born,
     factor_conditional,
     factor_joint,
     luder,
-    reduce_composite,
 )
 from .errors import (
     IncompatibleCommandError,
@@ -136,11 +136,11 @@ def _lifted(scn: Scenario, obs: Observable) -> Observable:
 
 
 def _gross(scn: Scenario, obs: Observable) -> list[float]:
-    # On a composite, from the operator reduced to the observable's factor.
-    state = scn.state
-    if scn.composite is not None:
-        state = reduce_composite(state, scn.composite, scn.composite.factor_index(obs.space))
-    return [born(state, ch) for ch in obs.channels]
+    # On a composite, from the state reduced to the observable's factor.
+    comp = scn.composite
+    if comp is None:
+        return [born(scn.state, ch) for ch in obs.channels]
+    return factor_born(scn.state, comp, obs).tolist()
 
 
 def _channel_ref(scn: Scenario, text: str, flag: str):

@@ -4,8 +4,9 @@ A probability operator is a hermitian, unit-trace, positive semidefinite
 operator; the probability it assigns to an eventuality is tr(P e). On
 composites, reduced operators arise by partial trace, joint tables by
 pairing commuting lifted observables, and conditioning by the projector
-sandwich e P e / tr(P e); `factor_joint` and `factor_conditional` give
-the same tables for factor-local observables from reduced operators.
+sandwich e P e / tr(P e); `factor_born`, `factor_joint` and
+`factor_conditional` give the same tables for factor-local observables
+from reduced operators.
 Decoherence of a provisional operator over an observable is the sandwich
 sum over its channels; pure inputs decompose into branch vectors.
 Conditioning on an eventuality of probability below the zero threshold
@@ -27,6 +28,8 @@ from .hilbert import (
     Op,
     StructureReport,
     Vec,
+    _psd_deficit,
+    cheb_norm,
     partial_trace,
     structure_check,
 )
@@ -47,6 +50,7 @@ __all__ = [
     "reduce_composite",
     "collapse",
     "joint_matrix",
+    "factor_born",
     "factor_joint",
     "conditional",
     "factor_conditional",
@@ -90,23 +94,8 @@ class ProbabilityOperator:
     def __post_init__(self):
         if self.matrix.space != self.space:
             raise SpaceMismatchError(f"matrix on {self.matrix.space} does not live on {self.space}")
-        passed = []
-        for report in self._invariant_checks():
-            if not report:
-                raise StructureError(
-                    f"probability operator must {_INVARIANTS[report.kind][0]}: "
-                    f"residual {report.residual:.3e} exceeds {report.tol:.0e}",
-                    residual=report.residual,
-                )
-            passed.append(report)
-        object.__setattr__(self, "checks", tuple(passed))
-
-    def _invariant_checks(self):
-        # A generator, so the first failure stops the rest: the PSD
-        # eigendecomposition never runs on a non-hermitian matrix.
-        yield structure_check(self.matrix, "hermitian", HERMITIAN_TOL)
-        yield StructureReport("unit-trace", abs(self.matrix.trace() - 1.0), TRACE_TOL)
-        yield structure_check(self.matrix, "psd", PSD_TOL)
+        a = self.matrix.entries
+        object.__setattr__(self, "checks", _require_invariants(self.matrix, cheb_norm(a - a.conj().T)))
 
     # -- constructors -------------------------------------------------
 
@@ -136,6 +125,29 @@ class ProbabilityOperator:
 
     def __repr__(self) -> str:
         return f"ProbabilityOperator({self.space})"
+
+
+def _invariant_checks(m: Op, skew: float):
+    # The three probability-operator checks of m, whose anti-hermitian
+    # part m - m^dag has largest absolute entry `skew`. A generator, so
+    # the first failure stops the rest: the PSD eigendecomposition never
+    # runs on a non-hermitian matrix.
+    yield StructureReport("hermitian", skew, HERMITIAN_TOL)
+    yield StructureReport("unit-trace", abs(m.trace() - 1.0), TRACE_TOL)
+    yield StructureReport("psd", max(skew, _psd_deficit(m.entries)), PSD_TOL)
+
+
+def _require_invariants(m: Op, skew: float) -> tuple[StructureReport, ...]:
+    passed = []
+    for report in _invariant_checks(m, skew):
+        if not report:
+            raise StructureError(
+                f"probability operator must {_INVARIANTS[report.kind][0]}: "
+                f"residual {report.residual:.3e} exceeds {report.tol:.0e}",
+                residual=report.residual,
+            )
+        passed.append(report)
+    return tuple(passed)
 
 
 def born(prob: ProbabilityOperator, e: Eventuality) -> float:
@@ -252,10 +264,11 @@ def conditional(
 # On a composite, a table over factor-local observables depends only on
 # the operator reduced to their factors (Nielsen & Chuang, section 2.4.3):
 # tr(P (a_i x b_j)) = tr(P_kl (a_i x b_j)) with P_kl the partial trace onto
-# factors k and l. Neither function below builds a lifted D x D projector:
-# `factor_joint` contracts the reduced operator, with one axis per factor
-# index, against the stacked factor projectors; `factor_conditional`
-# reduces a compressed a-posteriori operator the same way.
+# factors k and l. No function below builds a lifted D x D projector:
+# `factor_born` and `factor_joint` contract the reduced operator, with
+# one axis per factor index, against the stacked factor projectors;
+# `factor_conditional` reduces a compressed a-posteriori operator the
+# same way.
 
 # Contract the operator with the first projector stack, then with the
 # second: the intermediate has one projector index and two factor indices.
@@ -264,6 +277,14 @@ _PAIRWISE = ["einsum_path", (0, 1), (0, 1)]
 
 def _projectors(obs: Observable) -> np.ndarray:
     return np.array([ch.projector.entries for ch in obs.channels])
+
+
+def factor_born(prob: ProbabilityOperator, comp: CompositeSpace, obs: Observable) -> np.ndarray:
+    """Channel probabilities of an observable on a factor of a composite:
+    the numbers `born` gives for its lift. The reduced operator is read
+    unchecked, as `factor_joint` reads it; the state's own checks hold."""
+    reduced = partial_trace(prob.matrix, comp, comp.factor_index(obs.space)).entries
+    return np.einsum("xy,jyx->j", reduced, _projectors(obs)).real
 
 
 def factor_joint(
@@ -296,19 +317,22 @@ def factor_conditional(
     comp: CompositeSpace,
     given: Eventuality,
     target: Observable,
-    threshold: float = ZERO_PROBABILITY_THRESHOLD,
 ) -> np.ndarray:
     """Probabilities of the target channels after conditioning on an
     eventuality of one factor of a composite: the numbers `conditional`
     gives for their lifts.
 
     The a-posteriori operator is built compressed: with V the basis of
-    `given` (rank r on factor k) and W = I x V x I, W^dag P W / p lives on
-    the composite with factor k replaced by the r-dimensional range of V.
-    It has the nonzero spectrum of e P e / p, so the three
-    probability-operator checks `collapse` runs on e P e / p run on it,
-    on a matrix of side r * D / n. Reduced to the target's factor, it
-    gives each target probability as a joint entry over the marginal p.
+    `given` (rank r on factor k) and W = I x V x I, X = W^dag P W / p
+    lives on the composite with factor k replaced by the r-dimensional
+    range of V, a matrix of side r * D / n. The three probability-operator
+    checks `collapse` runs on e P e / p = W X W^dag report the same
+    residuals: the lift has X's trace and X's spectrum padded with zeros,
+    so the trace and eigenvalue parts read X; its largest anti-hermitian
+    entry is not unitarily invariant, so that residual is read on
+    W (X - X^dag) W^dag, at a cost of about D * D * r and no eigendecomposition.
+    Reduced to the target's factor, X gives each target probability as a
+    joint entry over the marginal p.
     """
     if prob.space != comp.space:
         raise SpaceMismatchError(f"operator on {prob.space} does not live on the composite {comp.space}")
@@ -320,9 +344,12 @@ def factor_conditional(
     sandwich = np.tensordot(half, v, axes=(4, 0)).transpose(1, 0, 2, 3, 5, 4)
     kept = CompositeSpace(comp.factors[:k] + (HilbertSpace(given.rank, "range"),) + comp.factors[k + 1:])
     sandwich = sandwich.reshape(kept.dim, kept.dim)
-    p = _conditionable(float(np.trace(sandwich).real), threshold)
-    posterior = ProbabilityOperator.from_entries(kept.space, sandwich / p)
-    reduced = partial_trace(posterior.matrix, kept, l).entries
+    p = _conditionable(float(np.trace(sandwich).real), ZERO_PROBABILITY_THRESHOLD)
+    posterior = Op(kept.space, sandwich / p)
+    skew = (posterior.entries - posterior.entries.conj().T).reshape((before, given.rank, after) * 2)
+    lifted_skew = np.tensordot(np.tensordot(v, skew, axes=(1, 1)), v.conj(), axes=(4, 1))
+    _require_invariants(posterior, cheb_norm(lifted_skew))
+    reduced = partial_trace(posterior, kept, l).entries
     b = _projectors(target)
     if k == l:
         b = v.conj().T @ b @ v  # the target channels compressed to the range of V

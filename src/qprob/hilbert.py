@@ -10,6 +10,7 @@ their defining residual in the Chebyshev (max absolute entry) norm.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from string import ascii_lowercase, ascii_uppercase
@@ -276,7 +277,7 @@ def partial_trace(m: Op, comp: CompositeSpace, keep: int | tuple[int, ...]) -> O
             f"operator on {m.space} (dim {m.space.dim}) does not match factorization {comp.space} (dim {comp.dim})"
         )
     n = len(comp.factors)
-    kept = (keep,) if isinstance(keep, int) else tuple(keep)
+    kept = (keep,) if isinstance(keep, numbers.Integral) else tuple(keep)
     for k in kept:
         if not 0 <= k < n:
             raise ValueError(f"keep index {k} out of range for {n} factors")
@@ -336,6 +337,10 @@ def structure_check(m: Op, kind: str, tol: float = INVARIANT_TOL) -> StructureRe
     elif kind == "projector":
         residual = max(herm, cheb_norm(a @ a - a))
     else:
-        lowest = float(np.linalg.eigvalsh((a + a.conj().T) / 2.0).min())
-        residual = max(herm, max(0.0, -lowest))
+        residual = max(herm, _psd_deficit(a))
     return StructureReport(kind, residual, tol)
+
+
+def _psd_deficit(a: np.ndarray) -> float:
+    """How far the smallest eigenvalue of a's hermitian part lies below 0."""
+    return max(0.0, -float(np.linalg.eigvalsh((a + a.conj().T) / 2.0).min()))

@@ -207,3 +207,65 @@ def test_zero_probability_rows_are_skipped(tmp_path):
     _close(table.cells[0], [0.2, 0.1, 0.7])
     skipped = next(s for s in report.sections if s.caption == "skipped rows")
     assert skipped.lines == ("'za:za-1': zero probability, cannot condition",)
+
+
+def _two_qubit_scenario(state: dict) -> dict:
+    s = 2 ** -0.5
+    return {
+        "name": "two-qubit",
+        "kind": "quantum",
+        "spaces": [{"id": "a", "dim": 2}, {"id": "b", "dim": 2}],
+        "composite": ["a", "b"],
+        "state": state,
+        "observables": [
+            _observable("xa", "a", [[np.array([s, s])], [np.array([s, -s])]]),
+            _observable("zb", "b", [[col] for col in np.eye(2)]),
+        ],
+        "observers": [
+            {"id": "first", "observable": "xa", "lifetime": 1.0, "perception_duration": 1.0},
+            {"id": "second", "observable": "zb", "lifetime": 2.0, "perception_duration": 0.5},
+        ],
+        "weighting": {"scheme": "entropic", "log_base": 2},
+    }
+
+
+def test_gross_and_net_read_the_reduced_state_unchecked(tmp_path, capsys):
+    # The state passes its load check (smallest eigenvalue -8e-11), but its
+    # reduction to factor b has eigenvalue -1.6e-10. Like the lifted route,
+    # gross and net read that reduction without checking it again.
+    doc = _two_qubit_scenario({"kind": "diagonal", "weights": [1 + 1.6e-10, -8e-11, 0.0, -8e-11]})
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("gross", "net"):
+        assert main([command, "--scenario", str(path)]) == 0, capsys.readouterr().err
+    scn = load_file(path)
+    report = run_command("gross", scn, Options())
+    want = [born(scn.state, ch) for ch in _lifted(scn, "zb").channels]
+    _close(_cells(report, "gross probabilities: observable 'zb'")[:, 0], want)
+
+
+@pytest.mark.parametrize("plus_weight", [1.0, 0.5])
+def test_conditional_reads_the_hermitian_residual_of_the_lift(tmp_path, capsys, plus_weight):
+    # rho = (w |+><+| + (1 - w) |-><-|) x diag(0.3, 0.7) plus i delta / 2 (J x sigma_x),
+    # J the all-ones 2 x 2 matrix and delta = 8e-11, the state's own hermitian
+    # residual. Given xa:xa-0 = |+>, p = w and e P e / p has hermitian
+    # residual delta / w; compressed to the range of |+>, the largest
+    # anti-hermitian entry doubles, so the check must be read on the lift.
+    ones, sigma_x = np.ones((2, 2)), np.array([[0.0, 1.0], [1.0, 0.0]])
+    on_a = plus_weight * ones / 2 + (1 - plus_weight) * (2 * np.eye(2) - ones) / 2
+    matrix = np.kron(on_a, np.diag([0.3, 0.7])) + 0.5j * 8e-11 * np.kron(ones, sigma_x)
+    doc = _two_qubit_scenario({"kind": "density", "matrix": [_pairs(row) for row in matrix]})
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["conditional", "--scenario", str(path), "--given", "xa:xa-0", "--target", "zb"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    if plus_weight == 1.0:
+        assert code == 0, captured.err
+        report = run_command("conditional", load_file(path), Options(given="xa:xa-0", target="zb"))
+        _close(_cells(report, "probabilities of 'zb' given 'xa:xa-0'")[0], [0.3, 0.7])
+    else:
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "qprob: error: probability operator must be hermitian: residual 1.600e-10 exceeds 1e-10\n"
+        )

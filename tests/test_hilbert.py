@@ -232,6 +232,9 @@ def test_partial_trace_keeps_an_ordered_tuple_of_factors():
     single = partial_trace(m, comp, (1,))
     assert single.space == spaces[1]
     assert cheb_norm(single.entries - partial_trace(m, comp, 1).entries) == 0.0
+    numpy_index = partial_trace(m, comp, np.int64(1))  # e.g. from np.argmax
+    assert numpy_index.space == spaces[1]
+    assert cheb_norm(numpy_index.entries - single.entries) == 0.0
 
 
 def test_partial_trace_requires_matching_space():
