@@ -53,7 +53,15 @@ class ScenarioParseError(ScenarioError):
 
 
 class ScenarioValidationError(ScenarioError):
-    """The scenario file parses but violates a documented invariant."""
+    """The scenario file parses but violates a documented invariant.
+
+    Carries the JSON path of the offending node (`$.state.vector[0]`) when
+    the violation belongs to one node, so callers can point at it.
+    """
+
+    def __init__(self, message: str, json_path: str | None = None):
+        super().__init__(message)
+        self.json_path = json_path
 
 
 class UnknownPresetError(ScenarioError):

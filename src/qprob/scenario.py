@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -112,8 +113,8 @@ class Scenario:
         return tuple(so for so in self.observables if so.observable.space == target)
 
 
-def _fail(message: str) -> ScenarioValidationError:
-    return ScenarioValidationError(message)
+def _fail(message: str, json_path: str | None = None) -> ScenarioValidationError:
+    return ScenarioValidationError(message, json_path)
 
 
 def _parse(text: str, origin: str) -> dict:
@@ -145,12 +146,82 @@ def _parse(text: str, origin: str) -> dict:
         ) from exc
 
 
+# The numeric payloads, by key: nesting depth (1: numbers, 2: [re, im]
+# pairs, 3: lists of pairs) and the one-entry stand-in jsonschema checks in
+# their place. They mirror the schema's payload subschemas, which
+# tests/test_schema_payloads.py pins.
+_STATE_PAYLOADS = {"weights": 1, "vector": 2, "matrix": 3}
+_CHANNEL_PAYLOADS = {"vectors": 3}
+_STAND_INS = {1: [0.0], 2: [[0.0, 0.0]], 3: [[[0.0, 0.0]]]}
+_NUMBER_TYPES = {int, float}  # what json reads a number as; bool is neither
+
+
+def _well_formed(node, depth: int) -> bool:
+    """Whether `node` is a payload the schema accepts: a non-empty list of
+    numbers, of number pairs, or of non-empty lists of pairs. Each leaf is
+    looked at once, at C speed."""
+    if type(node) is not list or not node:
+        return False
+    if depth == 1:
+        return set(map(type, node)) <= _NUMBER_TYPES
+    if depth == 3:
+        return all(_well_formed(row, 2) for row in node)
+    return (
+        set(map(type, node)) == {list}
+        and set(map(len, node)) == {2}
+        and set(map(type, chain.from_iterable(node))) <= _NUMBER_TYPES
+    )
+
+
+def _stand_ins(node, payloads: dict[str, int]):
+    """`node` with its well-formed payloads replaced by stand-ins, copied
+    only if it has one; None when one of them is malformed."""
+    keys = payloads.keys() & node.keys() if type(node) is dict else ()
+    if not keys:
+        return node
+    copy = dict(node)
+    for key in keys:
+        if not _well_formed(node[key], payloads[key]):
+            return None
+        copy[key] = _STAND_INS[payloads[key]]
+    return copy
+
+
+def _skeleton(doc) -> dict | None:
+    """A shallow copy of `doc` with every numeric payload replaced by its
+    stand-in, which the schema accepts exactly when it accepts `doc`. None
+    when a payload is malformed or `doc` is no object; a null state or
+    channel counts as malformed, since the schema refuses it either way."""
+    if type(doc) is not dict:
+        return None
+    skeleton = dict(doc)
+    if "state" in doc:
+        skeleton["state"] = _stand_ins(doc["state"], _STATE_PAYLOADS)
+        if skeleton["state"] is None:
+            return None
+    if type(doc.get("observables")) is list:
+        skeleton["observables"] = []
+        for item in doc["observables"]:
+            if type(item) is dict and type(item.get("channels")) is list:
+                channels = [_stand_ins(ch, _CHANNEL_PAYLOADS) for ch in item["channels"]]
+                if any(ch is None for ch in channels):
+                    return None
+                item = dict(item, channels=channels)
+            skeleton["observables"].append(item)
+    return skeleton
+
+
 def _validate_structure(doc: dict, origin: str) -> None:
     validator = Draft202012Validator(schema_document())
+    skeleton = _skeleton(doc)
+    if skeleton is not None and validator.is_valid(skeleton):
+        return
+    # Refusals come from the full document, so they name the node and
+    # quote the value the user wrote.
     error = best_match(validator.iter_errors(doc))
     if error is not None:
         where = error.json_path if error.json_path != "$" else "document root"
-        raise _fail(f"{origin}: schema violation at {where}: {error.message}")
+        raise _fail(f"{origin}: schema violation at {where}: {error.message}", error.json_path)
 
 
 def _too_large(what: str) -> ScenarioParseError:
@@ -165,13 +236,18 @@ def _float(value, what: str) -> float:
         raise _too_large(what) from None
 
 
-def _complex_array(rows, what: str) -> np.ndarray:
+def _complex_array(rows, what: str, items: str | None = None, json_path: str | None = None) -> np.ndarray:
+    """The [re, im] pairs of a payload the schema accepted, as a complex
+    array. A list of vectors, named by `items`, must be rectangular."""
+    if items is not None:
+        first = len(rows[0])
+        other = next((len(row) for row in rows if len(row) != first), first)
+        if other != first:
+            raise _fail(f"{what}: {items} have different lengths ({first} and {other})", json_path)
     try:
         arr = np.array(rows, dtype=np.float64)
     except OverflowError:
         raise _too_large(what) from None
-    except (TypeError, ValueError) as exc:
-        raise _fail(f"{what}: entries must be [re, im] number pairs") from exc
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -216,7 +292,7 @@ def _build_quantum(doc: dict, origin: str) -> dict:
             state_vector = Vec(full, comp)
             state = ProbabilityOperator.pure(state_vector)
         else:
-            mat = _complex_array(state_doc["matrix"], f"{origin}: state matrix")
+            mat = _complex_array(state_doc["matrix"], f"{origin}: state matrix", "rows", "$.state.matrix")
             if mat.shape != (full.dim, full.dim):
                 raise _fail(f"{origin}: state: matrix of shape {mat.shape} does not fit dimension {full.dim}")
             state = ProbabilityOperator.from_entries(full, mat)
@@ -224,7 +300,7 @@ def _build_quantum(doc: dict, origin: str) -> dict:
         raise _fail(f"{origin}: state: {exc}") from exc
 
     observables: list[ScenarioObservable] = []
-    for item in doc["observables"]:
+    for i, item in enumerate(doc["observables"]):
         oid = item["id"]
         if any(so.id == oid for so in observables):
             raise _fail(f"{origin}: duplicate observable id {oid!r}")
@@ -233,10 +309,15 @@ def _build_quantum(doc: dict, origin: str) -> dict:
         space = by_id[item["space"]]
         channels: list[Eventuality] = []
         labels: list[str] = []
-        for ch in item["channels"]:
+        for j, ch in enumerate(item["channels"]):
             if ch["label"] in labels:
                 raise _fail(f"{origin}: observable {oid!r}: duplicate channel label {ch['label']!r}")
-            vectors = _complex_array(ch["vectors"], f"{origin}: observable {oid!r} channel {ch['label']!r}")
+            vectors = _complex_array(
+                ch["vectors"],
+                f"{origin}: observable {oid!r} channel {ch['label']!r}",
+                "vectors",
+                f"$.observables[{i}].channels[{j}].vectors",
+            )
             if vectors.shape[1] != space.dim:
                 raise _fail(
                     f"{origin}: observable {oid!r} channel {ch['label']!r}: vectors of length "

@@ -5,6 +5,11 @@ import numpy as np
 from qprob import Eventuality, HilbertSpace, Op, ProbabilityOperator, Vec
 
 
+def json_pairs(z) -> list:
+    """Complex entries as the [re, im] pairs a scenario file writes."""
+    return [[float(c.real), float(c.imag)] for c in z]
+
+
 def rand_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-ish unitary: QR of a Ginibre matrix with the R phases fixed."""
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

@@ -441,6 +441,8 @@ MALFORMED_NEEDLES = {
     "17_overflow_lifetime.json": "non-finite number 1e999",
     "18_huge_integer_duration.json": "integer literal too large for a float",
     "19_overflowing_channel_vector.json": "channel 'up': spanning vector norm overflows a float",
+    "20_ragged_channel_vectors.json": "channel 'up': vectors have different lengths (2 and 1)",
+    "21_ragged_density_rows.json": "state matrix: rows have different lengths",
 }
 
 
@@ -497,4 +499,4 @@ def test_criterion_10_determinism_and_rejection(capsys):
         needle = MALFORMED_NEEDLES.get(path.name, "")
         if needle and needle not in err:
             failures.append(f"{path.name}: stderr does not name the violation ({needle!r})")
-    report(10, "byte-determinism across presets/commands/formats; 19 malformed files rejected", failures)
+    report(10, "byte-determinism across presets/commands/formats; 21 malformed files rejected", failures)

@@ -27,15 +27,11 @@ from qprob import (
 )
 from qprob.cli import Options, main, run_command
 from qprob.scenario import load_file
-from tests.helpers import rand_density, rand_unitary
+from tests.helpers import json_pairs, rand_density, rand_unitary
 
 TOL = 1e-12
 KINDS = ("diagonal", "pure", "density")
 CASES = [(dims, kind) for dims in ((3, 4), (2, 3, 2)) for kind in KINDS]
-
-
-def _pairs(z) -> list:
-    return [[float(c.real), float(c.imag)] for c in z]
 
 
 def _observable(oid: str, space: str, columns: list[np.ndarray]) -> dict:
@@ -43,7 +39,7 @@ def _observable(oid: str, space: str, columns: list[np.ndarray]) -> dict:
         "id": oid,
         "space": space,
         "channels": [
-            {"label": f"{oid}-{k}", "vectors": [_pairs(col) for col in group]} for k, group in enumerate(columns)
+            {"label": f"{oid}-{k}", "vectors": [json_pairs(col) for col in group]} for k, group in enumerate(columns)
         ],
     }
 
@@ -54,8 +50,8 @@ def _state(rng: np.random.Generator, kind: str, dim: int) -> dict:
         return {"kind": "diagonal", "weights": [float(x) for x in w / w.sum()]}
     if kind == "pure":
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        return {"kind": "pure", "vector": _pairs(v / np.linalg.norm(v))}
-    return {"kind": "density", "matrix": [_pairs(row) for row in rand_density(rng, dim)]}
+        return {"kind": "pure", "vector": json_pairs(v / np.linalg.norm(v))}
+    return {"kind": "density", "matrix": [json_pairs(row) for row in rand_density(rng, dim)]}
 
 
 def _scenario(dims: tuple[int, ...], kind: str) -> dict:
@@ -254,7 +250,7 @@ def test_conditional_reads_the_hermitian_residual_of_the_lift(tmp_path, capsys, 
     ones, sigma_x = np.ones((2, 2)), np.array([[0.0, 1.0], [1.0, 0.0]])
     on_a = plus_weight * ones / 2 + (1 - plus_weight) * (2 * np.eye(2) - ones) / 2
     matrix = np.kron(on_a, np.diag([0.3, 0.7])) + 0.5j * 8e-11 * np.kron(ones, sigma_x)
-    doc = _two_qubit_scenario({"kind": "density", "matrix": [_pairs(row) for row in matrix]})
+    doc = _two_qubit_scenario({"kind": "density", "matrix": [json_pairs(row) for row in matrix]})
     path = tmp_path / "skew.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     argv = ["conditional", "--scenario", str(path), "--given", "xa:xa-0", "--target", "zb"]

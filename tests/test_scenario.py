@@ -144,6 +144,8 @@ MALFORMED_EXPECTATIONS = [
     ("17_overflow_lifetime.json", "non-finite number 1e999 is not allowed"),
     ("18_huge_integer_duration.json", "segment 1 duration: integer literal too large for a float"),
     ("19_overflowing_channel_vector.json", "channel 'up': spanning vector norm overflows a float"),
+    ("20_ragged_channel_vectors.json", "channel 'up': vectors have different lengths (2 and 1)"),
+    ("21_ragged_density_rows.json", "state matrix: rows have different lengths (4 and 3)"),
 ]
 # Numbers a float cannot hold are refused as read, not as invariant violations.
 PARSE_FAILURES = {"16_nan_duration.json", "17_overflow_lifetime.json", "18_huge_integer_duration.json"}
@@ -155,6 +157,22 @@ def test_malformed_files_name_the_violation(filename, needle):
     with pytest.raises(error) as err:
         load_file(MALFORMED / filename)
     assert needle in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "filename,json_path",
+    [
+        ("02_missing_state.json", "$"),
+        ("10_bad_complex_pair.json", "$.state.vector[0]"),
+        ("20_ragged_channel_vectors.json", "$.observables[0].channels[0].vectors"),
+        ("21_ragged_density_rows.json", "$.state.matrix"),
+        ("03_bad_trace.json", None),
+    ],
+)
+def test_validation_errors_carry_the_json_path(filename, json_path):
+    with pytest.raises(ScenarioValidationError) as err:
+        load_file(MALFORMED / filename)
+    assert err.value.json_path == json_path
 
 
 def test_pure_state_scenario(tmp_path):
