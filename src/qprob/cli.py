@@ -13,6 +13,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable
@@ -83,6 +84,8 @@ def _positive_float(text: str) -> float:
     value = float(text)
     if value <= 0:
         raise argparse.ArgumentTypeError("must be positive")
+    if not math.isfinite(value):  # nan, inf and overflowing literals such as 1e400
+        raise argparse.ArgumentTypeError("must be finite")
     return value
 
 
@@ -212,7 +215,7 @@ def _validation_sections(scn: Scenario, opts: Options) -> list:
     sections.append(TextLines(
         "state checks",
         tuple(
-            f"{_INVARIANTS[r.kind][1]} residual: {r.residual:.3e} (tol {r.tol:.0e}): ok"
+            f"{_INVARIANTS[r.kind]} residual: {r.residual:.3e} (tol {r.tol:.0e}): ok"
             for r in scn.state.checks
         ),
     ))

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SpaceMismatchError, StructureError, ZeroProbabilityError
+from .errors import SpaceMismatchError, ZeroProbabilityError
 from .hilbert import (
     INVARIANT_TOL,
     CompositeSpace,
@@ -68,13 +68,9 @@ PSD_TOL = INVARIANT_TOL
 # Below this, an eventuality cannot be conditioned on.
 ZERO_PROBABILITY_THRESHOLD = 1e-12
 
-# Each probability-operator invariant, by report kind: what an operator
-# must do to pass it, and the invariant's name in validation reports.
-_INVARIANTS = {
-    "hermitian": ("be hermitian", "hermitian"),
-    "unit-trace": ("have unit trace", "unit-trace"),
-    "psd": ("be positive semidefinite", "positive semidefinite"),
-}
+# The name of each probability-operator invariant in validation reports,
+# by report kind.
+_INVARIANTS = {"hermitian": "hermitian", "unit-trace": "unit-trace", "psd": "positive semidefinite"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,27 +123,17 @@ class ProbabilityOperator:
         return f"ProbabilityOperator({self.space})"
 
 
-def _invariant_checks(m: Op, skew: float):
-    # The three probability-operator checks of m, whose anti-hermitian
-    # part m - m^dag has largest absolute entry `skew`. A generator, so
-    # the first failure stops the rest: the PSD eigendecomposition never
-    # runs on a non-hermitian matrix.
-    yield StructureReport("hermitian", skew, HERMITIAN_TOL)
-    yield StructureReport("unit-trace", abs(m.trace() - 1.0), TRACE_TOL)
-    yield StructureReport("psd", max(skew, _psd_deficit(m.entries)), PSD_TOL)
-
-
 def _require_invariants(m: Op, skew: float) -> tuple[StructureReport, ...]:
-    passed = []
-    for report in _invariant_checks(m, skew):
-        if not report:
-            raise StructureError(
-                f"probability operator must {_INVARIANTS[report.kind][0]}: "
-                f"residual {report.residual:.3e} exceeds {report.tol:.0e}",
-                residual=report.residual,
-            )
-        passed.append(report)
-    return tuple(passed)
+    # The three probability-operator checks of m, whose anti-hermitian
+    # part m - m^dag has largest absolute entry `skew`. Each raises before
+    # the next is computed: the PSD eigendecomposition never runs on a
+    # non-hermitian matrix.
+    must = "probability operator must"
+    return (
+        StructureReport("hermitian", skew, HERMITIAN_TOL).require(f"{must} be hermitian"),
+        StructureReport("unit-trace", abs(m.trace() - 1.0), TRACE_TOL).require(f"{must} have unit trace"),
+        StructureReport("psd", max(skew, _psd_deficit(m.entries)), PSD_TOL).require(f"{must} be positive semidefinite"),
+    )
 
 
 def born(prob: ProbabilityOperator, e: Eventuality) -> float:
@@ -215,9 +201,8 @@ class JointProbabilityMatrix:
             raise ValueError(f"joint matrix shape {arr.shape} does not match channel counts {expected}")
         if float(arr.min()) < -INVARIANT_TOL:
             raise ValueError(f"joint matrix has a negative entry: {float(arr.min()):.3e}")
-        total_residual = abs(float(arr.sum()) - 1.0)
-        if total_residual > INVARIANT_TOL:
-            raise ValueError(f"joint matrix must total 1: residual {total_residual:.3e} exceeds {INVARIANT_TOL:.0e}")
+        total = StructureReport("total", abs(float(arr.sum()) - 1.0), INVARIANT_TOL)
+        total.require("joint matrix must total 1", ValueError)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -404,12 +389,14 @@ def branch_decompose(
     if obs.space != prob.space:
         raise SpaceMismatchError(f"observable on {obs.space} does not match state on {prob.space}")
     probs = [born(prob, ch) for ch in obs.channels]
-    total_residual = abs(sum(probs) - 1.0)
-    if total_residual > INVARIANT_TOL:
-        raise ValueError(
-            f"channel probabilities must total 1: residual {total_residual:.3e} exceeds {INVARIANT_TOL:.0e} "
+    total = StructureReport("total", abs(sum(probs) - 1.0), INVARIANT_TOL)
+    if not total:
+        error = ValueError(
+            f"channel probabilities must total 1: residual {total.residual:.3e} exceeds {total.tol:.0e} "
             "(is the observable complete?)"
         )
+        error.residual = total.residual
+        raise error
     posteriors: list[ProbabilityOperator | None] = []
     zero: list[int] = []
     for i, (p, ch) in enumerate(zip(probs, obs.channels)):
@@ -430,12 +417,7 @@ def heisenberg_transport(x, u: Op, tol: float = INVARIANT_TOL):
     """Transport an eventuality or observable by a unitary: the projector
     maps to u^dag P u, so the basis columns map by u^dag. Non-unitary
     input is rejected with its residual."""
-    report = structure_check(u, "unitary", tol)
-    if not report:
-        raise StructureError(
-            f"transport needs a unitary: residual {report.residual:.3e} exceeds {tol:.0e}",
-            residual=report.residual,
-        )
+    structure_check(u, "unitary", tol).require("transport needs a unitary")
     if isinstance(x, Eventuality):
         if x.space != u.space:
             raise SpaceMismatchError(f"eventuality on {x.space} does not match unitary on {u.space}")

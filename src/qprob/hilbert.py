@@ -112,11 +112,7 @@ class Vec:
 
     def require_unit(self, tol: float = INVARIANT_TOL) -> "Vec":
         residual = abs(self.norm() ** 2 - 1.0)
-        if residual > tol:
-            raise StructureError(
-                f"state vector must have unit squared norm: residual {residual:.3e} exceeds {tol:.0e}",
-                residual=residual,
-            )
+        StructureReport("unit-norm", residual, tol).require("state vector must have unit squared norm")
         return self
 
     def __add__(self, other: "Vec") -> "Vec":
@@ -313,6 +309,15 @@ class StructureReport:
 
     def __bool__(self) -> bool:
         return self.passed
+
+    def require(self, what: str, error: type[Exception] = StructureError) -> "StructureReport":
+        """The report if it passed, else `error("{what}: residual R exceeds
+        T")` carrying `.residual`. A NaN residual fails."""
+        if not self.passed:
+            exc = error(f"{what}: residual {self.residual:.3e} exceeds {self.tol:.0e}")
+            exc.residual = self.residual
+            raise exc
+        return self
 
 
 def structure_check(m: Op, kind: str, tol: float = INVARIANT_TOL) -> StructureReport:

@@ -15,8 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SpaceMismatchError, StructureError
-from .hilbert import INVARIANT_TOL, HilbertSpace, Op, Vec, cheb_norm, structure_check
+from .errors import SpaceMismatchError
+from .hilbert import INVARIANT_TOL, HilbertSpace, Op, StructureReport, Vec, cheb_norm, structure_check
 
 __all__ = [
     "RANK_TOL",
@@ -119,12 +119,7 @@ class Eventuality:
         """Subspace fixed by a projector. The matrix must pass the
         projector structure check at tol; the basis is the eigenvalue-one
         eigenspace."""
-        report = structure_check(projector, "projector", tol)
-        if not report:
-            raise StructureError(
-                f"not a projector: residual {report.residual:.3e} exceeds {tol:.0e}",
-                residual=report.residual,
-            )
+        structure_check(projector, "projector", tol).require("not a projector")
         w, v = np.linalg.eigh(projector.entries)
         return cls(projector.space, v[:, w > 0.5])
 
@@ -248,9 +243,8 @@ class ClassicalModel:
         for p, w in zip(points, measure):
             if not 0.0 <= w <= 1.0:
                 raise ValueError(f"weight of point {p!r} is {w}, outside [0, 1]")
-        residual = abs(sum(measure) - 1.0)
-        if residual > CLASSICAL_SUM_TOL:
-            raise ValueError(f"measure must total 1: residual {residual:.3e} exceeds {CLASSICAL_SUM_TOL:.0e}")
+        total = StructureReport("total", abs(sum(measure) - 1.0), CLASSICAL_SUM_TOL)
+        total.require("measure must total 1", ValueError)
 
     def event(self, members) -> "ClassicalEventuality":
         return ClassicalEventuality(self, frozenset(members))

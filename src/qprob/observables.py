@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpaceMismatchError, StructureError
-from .hilbert import INVARIANT_TOL, CompositeSpace, HilbertSpace, Op, cheb_norm, structure_check
+from .errors import SpaceMismatchError
+from .hilbert import INVARIANT_TOL, CompositeSpace, HilbertSpace, Op, StructureReport, cheb_norm, structure_check
 from .lattice import Eventuality
 
 __all__ = [
@@ -166,12 +166,7 @@ def spectral_observable(m: Op, tol: float = 1e-8) -> QuantitativeObservable:
     and labelled E0, E1, ... Rebuilding the operator from the result
     reproduces the input within tol.
     """
-    report = structure_check(m, "hermitian", tol)
-    if not report:
-        raise StructureError(
-            f"spectral decomposition needs a hermitian operator: residual {report.residual:.3e} exceeds {tol:.0e}",
-            residual=report.residual,
-        )
+    structure_check(m, "hermitian", tol).require("spectral decomposition needs a hermitian operator")
     w, v = np.linalg.eigh(m.entries)
     clusters: list[list[int]] = [[0]]
     for k in range(1, len(w)):
@@ -225,12 +220,8 @@ def _require_commuting(a: Observable, b: Observable, tol: float) -> None:
     for la, ea in zip(a.labels, a.channels):
         for lb, eb in zip(b.labels, b.channels):
             pa, pb = ea.projector.entries, eb.projector.entries
-            r = cheb_norm(pa @ pb - pb @ pa)
-            if r > tol:
-                raise StructureError(
-                    f"channels {la!r} and {lb!r} do not commute: residual {r:.3e} exceeds {tol:.0e}",
-                    residual=r,
-                )
+            report = StructureReport("commutator", cheb_norm(pa @ pb - pb @ pa), tol)
+            report.require(f"channels {la!r} and {lb!r} do not commute")
 
 
 def conjoin(a: Observable, b: Observable, tol: float = ORTHOGONALITY_TOL) -> Observable:

@@ -113,10 +113,6 @@ class Scenario:
         return tuple(so for so in self.observables if so.observable.space == target)
 
 
-def _fail(message: str, json_path: str | None = None) -> ScenarioValidationError:
-    return ScenarioValidationError(message, json_path)
-
-
 def _parse(text: str, origin: str) -> dict:
     # json accepts NaN and +-Infinity, and reads an overflowing literal such
     # as 1e999 as inf; no scenario quantity may be non-finite.
@@ -221,7 +217,7 @@ def _validate_structure(doc: dict, origin: str) -> None:
     error = best_match(validator.iter_errors(doc))
     if error is not None:
         where = error.json_path if error.json_path != "$" else "document root"
-        raise _fail(f"{origin}: schema violation at {where}: {error.message}", error.json_path)
+        raise ScenarioValidationError(f"{origin}: schema violation at {where}: {error.message}", error.json_path)
 
 
 def _too_large(what: str) -> ScenarioParseError:
@@ -243,7 +239,7 @@ def _complex_array(rows, what: str, items: str | None = None, json_path: str | N
         first = len(rows[0])
         other = next((len(row) for row in rows if len(row) != first), first)
         if other != first:
-            raise _fail(f"{what}: {items} have different lengths ({first} and {other})", json_path)
+            raise ScenarioValidationError(f"{what}: {items} have different lengths ({first} and {other})", json_path)
     try:
         arr = np.array(rows, dtype=np.float64)
     except OverflowError:
@@ -256,7 +252,7 @@ def _build_quantum(doc: dict, origin: str) -> dict:
     seen: set[str] = set()
     for item in doc["spaces"]:
         if item["id"] in seen:
-            raise _fail(f"{origin}: duplicate space id {item['id']!r}")
+            raise ScenarioValidationError(f"{origin}: duplicate space id {item['id']!r}")
         seen.add(item["id"])
         spaces.append(HilbertSpace(int(item["dim"]), item["id"]))
     by_id = {s.label: s for s in spaces}
@@ -266,12 +262,12 @@ def _build_quantum(doc: dict, origin: str) -> dict:
         order = doc["composite"]
         unknown = [sid for sid in order if sid not in by_id]
         if unknown:
-            raise _fail(f"{origin}: composite references unknown space id {unknown[0]!r}")
+            raise ScenarioValidationError(f"{origin}: composite references unknown space id {unknown[0]!r}")
         if len(set(order)) != len(order):
-            raise _fail(f"{origin}: composite lists a space id twice")
+            raise ScenarioValidationError(f"{origin}: composite lists a space id twice")
         composite = CompositeSpace(tuple(by_id[sid] for sid in order))
     elif len(spaces) > 1:
-        raise _fail(f"{origin}: {len(spaces)} spaces declared but no composite factor order given")
+        raise ScenarioValidationError(f"{origin}: {len(spaces)} spaces declared but no composite factor order given")
 
     full = composite.space if composite is not None else spaces[0]
 
@@ -281,54 +277,54 @@ def _build_quantum(doc: dict, origin: str) -> dict:
         if state_doc["kind"] == "diagonal":
             weights = [_float(w, f"{origin}: state weight") for w in state_doc["weights"]]
             if len(weights) != full.dim:
-                raise _fail(
+                raise ScenarioValidationError(
                     f"{origin}: state: {len(weights)} diagonal weights do not fit dimension {full.dim}"
                 )
             state = ProbabilityOperator.diagonal(full, weights)
         elif state_doc["kind"] == "pure":
             comp = _complex_array(state_doc["vector"], f"{origin}: state vector")
             if comp.shape != (full.dim,):
-                raise _fail(f"{origin}: state: vector of length {comp.shape[0]} does not fit dimension {full.dim}")
+                raise ScenarioValidationError(
+                    f"{origin}: state: vector of length {comp.shape[0]} does not fit dimension {full.dim}"
+                )
             state_vector = Vec(full, comp)
             state = ProbabilityOperator.pure(state_vector)
         else:
             mat = _complex_array(state_doc["matrix"], f"{origin}: state matrix", "rows", "$.state.matrix")
             if mat.shape != (full.dim, full.dim):
-                raise _fail(f"{origin}: state: matrix of shape {mat.shape} does not fit dimension {full.dim}")
+                raise ScenarioValidationError(
+                    f"{origin}: state: matrix of shape {mat.shape} does not fit dimension {full.dim}"
+                )
             state = ProbabilityOperator.from_entries(full, mat)
     except StructureError as exc:
-        raise _fail(f"{origin}: state: {exc}") from exc
+        raise ScenarioValidationError(f"{origin}: state: {exc}") from exc
 
     observables: list[ScenarioObservable] = []
     for i, item in enumerate(doc["observables"]):
         oid = item["id"]
         if any(so.id == oid for so in observables):
-            raise _fail(f"{origin}: duplicate observable id {oid!r}")
+            raise ScenarioValidationError(f"{origin}: duplicate observable id {oid!r}")
         if item["space"] not in by_id:
-            raise _fail(f"{origin}: observable {oid!r} references unknown space id {item['space']!r}")
+            raise ScenarioValidationError(f"{origin}: observable {oid!r} references unknown space id {item['space']!r}")
         space = by_id[item["space"]]
         channels: list[Eventuality] = []
         labels: list[str] = []
         for j, ch in enumerate(item["channels"]):
             if ch["label"] in labels:
-                raise _fail(f"{origin}: observable {oid!r}: duplicate channel label {ch['label']!r}")
-            vectors = _complex_array(
-                ch["vectors"],
-                f"{origin}: observable {oid!r} channel {ch['label']!r}",
-                "vectors",
-                f"$.observables[{i}].channels[{j}].vectors",
-            )
+                raise ScenarioValidationError(f"{origin}: observable {oid!r}: duplicate channel label {ch['label']!r}")
+            what = f"{origin}: observable {oid!r} channel {ch['label']!r}"
+            vectors = _complex_array(ch["vectors"], what, "vectors", f"$.observables[{i}].channels[{j}].vectors")
             if vectors.shape[1] != space.dim:
-                raise _fail(
-                    f"{origin}: observable {oid!r} channel {ch['label']!r}: vectors of length "
-                    f"{vectors.shape[1]} do not fit space {space.label!r} of dimension {space.dim}"
+                raise ScenarioValidationError(
+                    f"{what}: vectors of length {vectors.shape[1]} do not fit space {space.label!r} "
+                    f"of dimension {space.dim}"
                 )
             try:
                 event = Eventuality.from_span(space, list(vectors))
             except ValueError as exc:
-                raise _fail(f"{origin}: observable {oid!r} channel {ch['label']!r}: {exc}") from exc
+                raise ScenarioValidationError(f"{what}: {exc}") from exc
             if event.is_null:
-                raise _fail(f"{origin}: observable {oid!r} channel {ch['label']!r}: channel spans nothing")
+                raise ScenarioValidationError(f"{what}: channel spans nothing")
             channels.append(event)
             labels.append(ch["label"])
         obs = Observable(space, tuple(channels), tuple(labels))
@@ -336,32 +332,32 @@ def _build_quantum(doc: dict, origin: str) -> dict:
         if not check:
             if check.orthogonality_residual > check.tol:
                 a, b = check.worst_pair
-                raise _fail(
+                raise ScenarioValidationError(
                     f"{origin}: observable {oid!r}: channels {a!r} and {b!r} are not mutually exclusive: "
                     f"orthogonality residual {check.orthogonality_residual:.3e} exceeds {check.tol:.0e}"
                 )
-            raise _fail(
+            raise ScenarioValidationError(
                 f"{origin}: observable {oid!r}: channels do not cover the space: "
                 f"completeness residual {check.completeness_residual:.3e} exceeds {check.tol:.0e}"
             )
         quantitative = None
         if "values" in item:
             if len(item["values"]) != len(channels):
-                raise _fail(
+                raise ScenarioValidationError(
                     f"{origin}: observable {oid!r}: {len(item['values'])} values for {len(channels)} channels"
                 )
             values = tuple(_float(v, f"{origin}: observable {oid!r} values") for v in item["values"])
             try:
                 quantitative = QuantitativeObservable(obs, values)
             except ValueError as exc:
-                raise _fail(f"{origin}: observable {oid!r}: {exc}") from exc
+                raise ScenarioValidationError(f"{origin}: observable {oid!r}: {exc}") from exc
         observables.append(ScenarioObservable(oid, space.label, obs, quantitative, check))
 
     observers: list[ObserverModel] = []
     perceives: dict[str, ScenarioObservable] = {}
     for item in doc.get("observers", ()):
         if any(o.id == item["id"] for o in observers):
-            raise _fail(f"{origin}: duplicate observer id {item['id']!r}")
+            raise ScenarioValidationError(f"{origin}: duplicate observer id {item['id']!r}")
         what = f"{origin}: observer {item['id']!r}"
         kwargs = {
             "lifetime": _float(item.get("lifetime", 1.0), f"{what} lifetime"),
@@ -371,7 +367,7 @@ def _build_quantum(doc: dict, origin: str) -> dict:
             if "observable" in item:
                 matches = [so for so in observables if so.id == item["observable"]]
                 if not matches:
-                    raise _fail(
+                    raise ScenarioValidationError(
                         f"{origin}: observer {item['id']!r} references unknown observable {item['observable']!r}"
                     )
                 observer = ObserverModel(item["id"], observable=matches[0].observable, **kwargs)
@@ -381,7 +377,7 @@ def _build_quantum(doc: dict, origin: str) -> dict:
             else:
                 observer = ObserverModel(item["id"], entropy_value=_float(item["entropy"], f"{what} entropy"), **kwargs)
         except ValueError as exc:
-            raise _fail(f"{origin}: {exc}") from exc
+            raise ScenarioValidationError(f"{origin}: {exc}") from exc
         observers.append(observer)
 
     weighting: Scheme | None = None
@@ -404,15 +400,15 @@ def _build_classical(doc: dict, origin: str) -> dict:
     try:
         model = ClassicalModel(tuple(doc["points"]), tuple(float(w) for w in doc["measure"]))
     except ValueError as exc:
-        raise _fail(f"{origin}: classical model: {exc}") from exc
+        raise ScenarioValidationError(f"{origin}: classical model: {exc}") from exc
     events: list[ScenarioEvent] = []
     for item in doc["events"]:
         if any(e.id == item["id"] for e in events):
-            raise _fail(f"{origin}: duplicate event id {item['id']!r}")
+            raise ScenarioValidationError(f"{origin}: duplicate event id {item['id']!r}")
         try:
             events.append(ScenarioEvent(item["id"], model.event(item["members"])))
         except ValueError as exc:
-            raise _fail(f"{origin}: event {item['id']!r}: {exc}") from exc
+            raise ScenarioValidationError(f"{origin}: event {item['id']!r}: {exc}") from exc
     return {"classical": model, "events": tuple(events)}
 
 
@@ -433,7 +429,7 @@ def _build_profile(doc: dict, origin: str) -> LifetimeProfile | None:
         try:
             segments.append(LifetimeSegment(**kwargs))
         except ValueError as exc:
-            raise _fail(f"{origin}: lifetime profile segment {k + 1}: {exc}") from exc
+            raise ScenarioValidationError(f"{origin}: lifetime profile segment {k + 1}: {exc}") from exc
     return LifetimeProfile(tuple(segments))
 
 

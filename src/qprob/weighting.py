@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import INVARIANT_TOL
+from .hilbert import INVARIANT_TOL, StructureReport
 from .observables import Observable
 
 __all__ = [
@@ -245,11 +245,8 @@ def net_table(scheme: Scheme, observers, gross) -> NetTable:
     if len(observers) != len(gross):
         raise ValueError(f"{len(observers)} observers but {len(gross)} gross vectors")
     for o, g in zip(observers, gross):
-        residual = abs(float(g.sum()) - 1.0)
-        if residual > GROSS_SUM_TOL:
-            raise ValueError(
-                f"gross probabilities for {o.id!r} must total 1: residual {residual:.3e} exceeds {GROSS_SUM_TOL:.0e}"
-            )
+        total = StructureReport("total", abs(float(g.sum()) - 1.0), GROSS_SUM_TOL)
+        total.require(f"gross probabilities for {o.id!r} must total 1", ValueError)
     normalizer: float | None = None
     if scheme.variant == "weak":
         weights = weights_weak(observers)

@@ -174,6 +174,57 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+def _two_qubit_scenario(tmp_path) -> str:
+    # z and x bases on factor a: their channels do not commute.
+    s = 2 ** -0.5
+    path = tmp_path / "two-qubits.json"
+    path.write_text(json.dumps({
+        "name": "two-qubits",
+        "spaces": [{"id": "a", "dim": 2}, {"id": "b", "dim": 2}],
+        "composite": ["a", "b"],
+        "state": {"kind": "diagonal", "weights": [0.25, 0.25, 0.25, 0.25]},
+        "observables": [
+            {"id": "z", "space": "a", "channels": [
+                {"label": "z0", "vectors": [[[1, 0], [0, 0]]]},
+                {"label": "z1", "vectors": [[[0, 0], [1, 0]]]},
+            ]},
+            {"id": "x", "space": "a", "channels": [
+                {"label": "x0", "vectors": [[[s, 0], [s, 0]]]},
+                {"label": "x1", "vectors": [[[s, 0], [-s, 0]]]},
+            ]},
+        ],
+    }), encoding="utf-8")
+    return str(path)
+
+
+def test_finite_tol_still_checks_commutation(capsys, tmp_path):
+    code, out, err = run(capsys, "joint", "--scenario", _two_qubit_scenario(tmp_path),
+                         "--rows", "z", "--cols", "x", "--tol", "0.1")
+    assert (code, out) == (2, "")
+    assert err == "qprob: error: channels 'z0' and 'x0' do not commute: residual 5.000e-01 exceeds 1e-01\n"
+
+
+# A non-finite tolerance used to switch off the commutation check (nan)
+# or make every correlation verdict "yes" (inf).
+@pytest.mark.parametrize("tol", ["nan", "inf", "1e400", "NaN", "+Infinity"])
+@pytest.mark.parametrize("command", ["joint", "check"])
+def test_non_finite_tol_is_a_usage_error(capsys, tmp_path, command, tol):
+    source = ["--scenario", _two_qubit_scenario(tmp_path), "--rows", "z", "--cols", "x"]
+    if command == "check":
+        source = ["--preset", "cat-box"]
+    code, out, err = run(capsys, command, *source, "--tol", tol)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: qprob ")
+    assert err.endswith(f"qprob {command}: error: argument --tol: must be finite\n")
+
+
+def test_non_positive_tol_is_a_usage_error(capsys):
+    for tol in ("0", "-1e-3", "-inf"):
+        code, out, err = run(capsys, "check", "--preset", "cat-box", f"--tol={tol}")
+        assert (code, out) == (1, "")
+        assert err.endswith("qprob check: error: argument --tol: must be positive\n")
+
+
 def test_unreadable_file_exits_one(capsys):
     code, _, err = run(capsys, "gross", "--scenario", "/nonexistent/x.json")
     assert code == 1

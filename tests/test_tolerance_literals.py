@@ -1,9 +1,15 @@
-"""Lint: tolerance literals live only in their constant definitions.
+"""Lint: tolerance literals live only in their constant definitions, and
+residual failures are raised in one place.
 
 Every default, comparison and message in the package names a constant,
 so a tolerance is changed in one place. 1e-10 is defined once (the
 invariant tolerance in hilbert.py); 1e-12 is defined by the two
 constants that use it.
+
+Every toleranced invariant fails through `StructureReport.require`, so
+the "residual R exceeds T" message, and the NaN-refusing comparison
+behind it, are written once. Three messages keep their own wording and
+are listed by line.
 """
 
 import re
@@ -44,3 +50,56 @@ def test_pattern_catches_spellings():
         assert LITERAL.search(text), text
     for text in ("1e-100", "11e-10", "1e-1", "2e-10", "0.1e-10"):
         assert not LITERAL.search(text), text
+
+
+# The failure template "residual {r:.3e} exceeds {tol:.0e}", or either
+# half of it when a message is split over two lines.
+TEMPLATE = re.compile(r"residual \{[^{}]*:\.3e\}|exceeds \{[^{}]*:\.0e\}")
+
+TEMPLATE_OWNERS = {
+    # StructureReport.require: the one check point.
+    ("hilbert.py", 'exc = error(f"{what}: residual {self.residual:.3e} exceeds {self.tol:.0e}")'),
+    # The two observable residuals of a scenario observable, named apart.
+    ("scenario.py", 'f"orthogonality residual {check.orthogonality_residual:.3e} exceeds {check.tol:.0e}"'),
+    ("scenario.py", 'f"completeness residual {check.completeness_residual:.3e} exceeds {check.tol:.0e}"'),
+    # branch_decompose's channel total, which ends with a hint.
+    ("engine.py",
+     'f"channel probabilities must total 1: residual {total.residual:.3e} exceeds {total.tol:.0e} "'),
+}
+
+
+def _template_lines():
+    for path in sorted(SRC.glob("*.py")):
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if TEMPLATE.search(line):
+                yield path.name, number, line.strip()
+
+
+def test_residual_template_only_in_require():
+    stray = [f"{name}:{number}: {line}" for name, number, line in _template_lines()
+             if (name, line) not in TEMPLATE_OWNERS]
+    assert stray == [], "raise through StructureReport.require instead of:\n" + "\n".join(stray)
+
+
+def test_each_template_owner_present_once():
+    found = sorted((name, line) for name, _, line in _template_lines())
+    assert found == sorted(TEMPLATE_OWNERS)
+
+
+def test_template_pattern_catches_spellings():
+    for text in (
+        'f"not a projector: residual {report.residual:.3e} exceeds {tol:.0e}"',
+        'f"channels {la!r} and {lb!r} do not commute: residual {r:.3e} exceeds {tol:.0e}"',
+        'f"orthogonality residual {check.orthogonality_residual:.3e} exceeds {check.tol:.0e}"',
+        'f"residual {report.residual:.3e} exceeds {report.tol:.0e}"',
+        'f"must total 1: residual {residual:.3e} "',
+        'f"exceeds {GROSS_SUM_TOL:.0e}"',
+    ):
+        assert TEMPLATE.search(text), text
+    for text in (
+        'f"{name} residual: {r.residual:.3e} (tol {r.tol:.0e}): ok"',
+        'f"channel rank {channel_rank} exceeds dimension {dim}"',
+        'f"probability {p:.3e} (threshold {threshold:.0e})"',
+        'f"measure total residual: {total:.3e} (tol {CLASSICAL_SUM_TOL:.0e}): ok"',
+    ):
+        assert not TEMPLATE.search(text), text
