@@ -24,12 +24,13 @@ from . import __version__
 from .engine import (
     _INVARIANTS,
     JointProbabilityMatrix,
+    ProbabilityOperator,
     _correlation_report,
     born,
     branch_decompose,
     collapse,
+    conditional,
     factor_born,
-    factor_conditional,
     factor_joint,
     luder,
 )
@@ -40,9 +41,9 @@ from .errors import (
     UnknownPresetError,
     ZeroProbabilityError,
 )
-from .hilbert import INVARIANT_TOL
+from .hilbert import INVARIANT_TOL, CompositeSpace
 from .lattice import CLASSICAL_SUM_TOL
-from .observables import Observable, lift
+from .observables import Observable
 from .render import FORMATS, RenderedTable, Report, TextLines, format_number, render_report
 from .scenario import PRESET_NAMES, Scenario, ScenarioObservable, load_file, load_preset
 from .weighting import Scheme, lifetime_distribution, net_table
@@ -131,19 +132,11 @@ def _observable(scn: Scenario, obs_id: str) -> ScenarioObservable:
         raise IncompatibleCommandError(exc.args[0]) from None
 
 
-def _lifted(scn: Scenario, obs: Observable) -> Observable:
-    # Only the commands whose output is a D x D operator lift.
-    if scn.composite is None:
-        return obs
-    return lift(obs, scn.composite)
-
-
-def _gross(scn: Scenario, obs: Observable) -> list[float]:
-    # On a composite, from the state reduced to the observable's factor.
-    comp = scn.composite
+def _channel_probs(prob: ProbabilityOperator, comp: CompositeSpace | None, obs: Observable) -> list[float]:
+    # On a composite, from the operator reduced to the observable's factor.
     if comp is None:
-        return [born(scn.state, ch) for ch in obs.channels]
-    return factor_born(scn.state, comp, obs).tolist()
+        return [born(prob, ch) for ch in obs.channels]
+    return factor_born(prob, comp, obs).tolist()
 
 
 def _channel_ref(scn: Scenario, text: str, flag: str):
@@ -300,7 +293,7 @@ def _cmd_gross(scn: Scenario, opts: Options) -> Report:
         sections.append(_probability_table("event probabilities", labels, probs))
     else:
         for sobs in scn.observables:
-            probs = _gross(scn, sobs.observable)
+            probs = _channel_probs(scn.state, scn.composite, sobs.observable)
             sections.append(_probability_table(
                 f"gross probabilities: observable '{sobs.id}'", sobs.observable.labels, probs
             ))
@@ -336,7 +329,6 @@ def _cmd_joint(scn: Scenario, opts: Options) -> Report:
 
 
 def _cmd_conditional(scn: Scenario, opts: Options) -> Report:
-    state, comp = scn.state, scn.composite
     if opts.given:
         sobs, index = _channel_ref(scn, opts.given, "--given")
         if opts.target:
@@ -346,7 +338,7 @@ def _cmd_conditional(scn: Scenario, opts: Options) -> Report:
             if not others:
                 raise IncompatibleCommandError("no observable on another factor to condition; pass --target")
             target = others[0]
-        probs = factor_conditional(state, comp, sobs.observable.channels[index], target.observable)
+        probs = conditional(scn.state, sobs.observable.channels[index], target.observable, comp=scn.composite)
         label = f"{sobs.id}:{sobs.observable.labels[index]}"
         table = RenderedTable(
             f"probabilities of '{target.id}' given '{label}'",
@@ -363,7 +355,7 @@ def _cmd_conditional(scn: Scenario, opts: Options) -> Report:
     skipped = []
     for label, ch in zip(rows.observable.labels, rows.observable.channels):
         try:
-            cells.append(factor_conditional(state, comp, ch, target.observable))
+            cells.append(conditional(scn.state, ch, target.observable, comp=scn.composite))
         except ZeroProbabilityError:
             skipped.append(label)
             continue
@@ -384,8 +376,7 @@ def _cmd_conditional(scn: Scenario, opts: Options) -> Report:
 
 def _cmd_collapse(scn: Scenario, opts: Options) -> Report:
     sobs, index = _channel_ref(scn, opts.on, "--on")
-    event = _lifted(scn, sobs.observable).channels[index]
-    result = collapse(scn.state, event)
+    result = collapse(scn.state, sobs.observable.channels[index], comp=scn.composite)
     label = f"{sobs.id}:{sobs.observable.labels[index]}"
     lines = TextLines(
         "collapse",
@@ -400,13 +391,11 @@ def _cmd_collapse(scn: Scenario, opts: Options) -> Report:
 
 def _cmd_luder(scn: Scenario, opts: Options) -> Report:
     sobs = _observable(scn, opts.obs) if opts.obs else scn.observables[0]
-    lifted = _lifted(scn, sobs.observable)
-    result = luder(scn.state, lifted)
-    probs = [born(result, ch) for ch in lifted.channels]
+    result = luder(scn.state, sobs.observable, comp=scn.composite)
     table = _probability_table(
         f"channel probabilities under the decohered operator (observable '{sobs.id}')",
-        lifted.labels,
-        probs,
+        sobs.observable.labels,
+        _channel_probs(result, scn.composite, sobs.observable),
     )
     op_table = _operator_table("decohered operator", result.matrix)
     return Report(f"luder: scenario '{scn.name}'", (table, op_table))
@@ -414,20 +403,20 @@ def _cmd_luder(scn: Scenario, opts: Options) -> Report:
 
 def _cmd_branches(scn: Scenario, opts: Options) -> Report:
     sobs = _observable(scn, opts.obs) if opts.obs else scn.observables[0]
-    lifted = _lifted(scn, sobs.observable)
-    bd = branch_decompose(scn.state, lifted)
+    labels = sobs.observable.labels
+    bd = branch_decompose(scn.state, sobs.observable, comp=scn.composite)
     sections: list = [_probability_table(
-        f"branch probabilities (observable '{sobs.id}')", lifted.labels, bd.probabilities
+        f"branch probabilities (observable '{sobs.id}')", labels, bd.probabilities
     )]
     if bd.zero_channels:
         sections.append(TextLines(
             "zero-probability branches",
             tuple(
-                f"'{lifted.labels[i]}': probability below threshold {bd.threshold:.0e}; no a-posteriori operator"
+                f"'{labels[i]}': probability below threshold {bd.threshold:.0e}; no a-posteriori operator"
                 for i in bd.zero_channels
             ),
         ))
-    for label, post in zip(lifted.labels, bd.posteriors):
+    for label, post in zip(labels, bd.posteriors):
         if post is not None:
             sections.append(_operator_table(f"branch '{label}': a-posteriori operator", post.matrix))
     return Report(f"branches: scenario '{scn.name}'", tuple(sections))
@@ -447,7 +436,7 @@ def _cmd_net(scn: Scenario, opts: Options) -> Report:
             raise IncompatibleCommandError(
                 f"observer {o.id!r} has no perception observable; gross probabilities are undefined"
             )
-        gross.append(_gross(scn, o.observable))
+        gross.append(_channel_probs(scn.state, scn.composite, o.observable))
         channel_labels.append(o.observable.labels)
     table = net_table(scheme, scn.observers, gross)
 

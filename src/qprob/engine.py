@@ -4,9 +4,8 @@ A probability operator is a hermitian, unit-trace, positive semidefinite
 operator; the probability it assigns to an eventuality is tr(P e). On
 composites, reduced operators arise by partial trace, joint tables by
 pairing commuting lifted observables, and conditioning by the projector
-sandwich e P e / tr(P e); `factor_born`, `factor_joint` and
-`factor_conditional` give the same tables for factor-local observables
-from reduced operators.
+sandwich e P e / tr(P e); `factor_born` and `factor_joint` give the same
+tables for factor-local observables from reduced operators.
 Decoherence of a provisional operator over an observable is the sandwich
 sum over its channels; pure inputs decompose into branch vectors.
 Conditioning on an eventuality of probability below the zero threshold
@@ -53,7 +52,6 @@ __all__ = [
     "factor_born",
     "factor_joint",
     "conditional",
-    "factor_conditional",
     "luder",
     "branch_decompose",
     "heisenberg_transport",
@@ -91,7 +89,7 @@ class ProbabilityOperator:
         if self.matrix.space != self.space:
             raise SpaceMismatchError(f"matrix on {self.matrix.space} does not live on {self.space}")
         a = self.matrix.entries
-        object.__setattr__(self, "checks", _require_invariants(self.matrix, cheb_norm(a - a.conj().T)))
+        object.__setattr__(self, "checks", _require_invariants(a, cheb_norm(a - a.conj().T)))
 
     # -- constructors -------------------------------------------------
 
@@ -123,16 +121,16 @@ class ProbabilityOperator:
         return f"ProbabilityOperator({self.space})"
 
 
-def _require_invariants(m: Op, skew: float) -> tuple[StructureReport, ...]:
-    # The three probability-operator checks of m, whose anti-hermitian
-    # part m - m^dag has largest absolute entry `skew`. Each raises before
+def _require_invariants(a: np.ndarray, skew: float) -> tuple[StructureReport, ...]:
+    # The three probability-operator checks of a, whose anti-hermitian
+    # part a - a^dag has largest absolute entry `skew`. Each raises before
     # the next is computed: the PSD eigendecomposition never runs on a
     # non-hermitian matrix.
     must = "probability operator must"
     return (
         StructureReport("hermitian", skew, HERMITIAN_TOL).require(f"{must} be hermitian"),
-        StructureReport("unit-trace", abs(m.trace() - 1.0), TRACE_TOL).require(f"{must} have unit trace"),
-        StructureReport("psd", max(skew, _psd_deficit(m.entries)), PSD_TOL).require(f"{must} be positive semidefinite"),
+        StructureReport("unit-trace", abs(complex(np.trace(a)) - 1.0), TRACE_TOL).require(f"{must} have unit trace"),
+        StructureReport("psd", max(skew, _psd_deficit(a)), PSD_TOL).require(f"{must} be positive semidefinite"),
     )
 
 
@@ -165,6 +163,50 @@ def _conditionable(p: float, threshold: float) -> float:
     return p
 
 
+# -- the projector sandwich ----------------------------------------------
+#
+# `comp` is the composite that an eventuality's space is a factor of (None:
+# the operator's own space). With V the basis of e on factor k and
+# W = I x V x I, e P e = W (W^dag P W) W^dag: P is compressed once to the
+# range of W, of side r * D / n, and only a D x D output is lifted back
+# (Nielsen & Chuang, section 2.2.5). No lifted projector is built.
+
+
+class _Sandwich(NamedTuple):
+    block: np.ndarray  # W^dag P W
+    v: np.ndarray
+    before: int  # the dimensions of the factors before and after V's
+    after: int
+
+    @property
+    def probability(self) -> float:
+        return float(np.trace(self.block).real)  # tr(e P e)
+
+    def lift(self, y: np.ndarray) -> np.ndarray:
+        """W Y W^dag, on the space of P."""
+        (n, r), before, after = self.v.shape, self.before, self.after
+        boxed = y.reshape(before, r, after, before, r, after)
+        full = np.tensordot(np.tensordot(self.v, boxed, axes=(1, 1)), self.v.conj(), axes=(4, 1))  # n b a b a n
+        return full.transpose(1, 0, 2, 3, 5, 4).reshape(before * n * after, before * n * after)
+
+
+def _sandwich(prob: ProbabilityOperator, e: Eventuality, comp: CompositeSpace | None) -> _Sandwich:
+    if comp is None:
+        if prob.space != e.space:
+            raise SpaceMismatchError(f"operator on {prob.space} does not match eventuality on {e.space}")
+        before = after = 1
+    else:
+        if prob.space != comp.space:
+            raise SpaceMismatchError(f"operator on {prob.space} does not live on the composite {comp.space}")
+        k = comp.factor_index(e.space)
+        before, after = comp.dim_before(k), comp.dim_after(k)
+    v = e.basis_matrix
+    boxed = prob.matrix.entries.reshape((before, v.shape[0], after) * 2)
+    half = np.tensordot(v.conj(), boxed, axes=(0, 1))  # r, before, after, before, n, after
+    block = np.tensordot(half, v, axes=(4, 0)).transpose(1, 0, 2, 3, 5, 4).reshape(before * e.rank * after, -1)
+    return _Sandwich(block, v, before, after)
+
+
 class CollapseResult(NamedTuple):
     operator: ProbabilityOperator
     probability: float
@@ -174,16 +216,17 @@ def collapse(
     prob: ProbabilityOperator,
     e: Eventuality,
     threshold: float = ZERO_PROBABILITY_THRESHOLD,
+    *,
+    comp: CompositeSpace | None = None,
 ) -> CollapseResult:
     """A-posteriori operator e P e / tr(P e) together with tr(P e).
 
     Conditioning on an eventuality of probability <= threshold raises
     ZeroProbabilityError.
     """
-    p = _conditionable(born(prob, e), threshold)
-    proj = e.projector
-    sandwich = proj @ prob.matrix @ proj
-    return CollapseResult(ProbabilityOperator(prob.space, sandwich / p), p)
+    s = _sandwich(prob, e, comp)
+    p = _conditionable(s.probability, threshold)
+    return CollapseResult(ProbabilityOperator.from_entries(prob.space, s.lift(s.block) / p), p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,10 +281,32 @@ def conditional(
     given: Eventuality,
     target: Observable,
     threshold: float = ZERO_PROBABILITY_THRESHOLD,
+    *,
+    comp: CompositeSpace | None = None,
 ) -> np.ndarray:
-    """Probabilities of the target channels after conditioning on `given`."""
-    cond = collapse(prob, given, threshold).operator
-    return np.array([born(cond, ch) for ch in target.channels], dtype=np.float64)
+    """Probabilities of the target channels after conditioning on `given`.
+
+    The a-posteriori operator is read compressed, as X = W^dag P W / p, and
+    gets the checks `collapse` runs on W X W^dag: the lift has X's trace and
+    X's spectrum padded with zeros; its largest anti-hermitian entry is not
+    unitarily invariant, so that residual is read on W (X - X^dag) W^dag.
+    Reduced to the target's factor, X gives the target probabilities.
+    """
+    s = _sandwich(prob, given, comp)
+    posterior = s.block / _conditionable(s.probability, threshold)
+    _require_invariants(posterior, cheb_norm(s.lift(posterior - posterior.conj().T)))
+    if comp is None:
+        if target.space != prob.space:
+            raise SpaceMismatchError(f"operator on {prob.space} does not match observable on {target.space}")
+        reduced = posterior
+    else:
+        k = comp.factor_index(given.space)
+        kept = CompositeSpace(comp.factors[:k] + (HilbertSpace(given.rank, "range"),) + comp.factors[k + 1:])
+        reduced = partial_trace(Op(kept.space, posterior), kept, comp.factor_index(target.space)).entries
+    b = _projectors(target)
+    if target.space == given.space:
+        b = s.v.conj().T @ b @ s.v  # the target channels compressed to the range of V
+    return np.einsum("xy,jyx->j", reduced, b).real
 
 
 # -- factor-local tables ------------------------------------------------
@@ -251,9 +316,7 @@ def conditional(
 # tr(P (a_i x b_j)) = tr(P_kl (a_i x b_j)) with P_kl the partial trace onto
 # factors k and l. No function below builds a lifted D x D projector:
 # `factor_born` and `factor_joint` contract the reduced operator, with
-# one axis per factor index, against the stacked factor projectors;
-# `factor_conditional` reduces a compressed a-posteriori operator the
-# same way.
+# one axis per factor index, against the stacked factor projectors.
 
 # Contract the operator with the first projector stack, then with the
 # second: the intermediate has one projector index and two factor indices.
@@ -297,61 +360,11 @@ def factor_joint(
     return JointProbabilityMatrix(rows, cols, table.real)
 
 
-def factor_conditional(
-    prob: ProbabilityOperator,
-    comp: CompositeSpace,
-    given: Eventuality,
-    target: Observable,
-) -> np.ndarray:
-    """Probabilities of the target channels after conditioning on an
-    eventuality of one factor of a composite: the numbers `conditional`
-    gives for their lifts.
-
-    The a-posteriori operator is built compressed: with V the basis of
-    `given` (rank r on factor k) and W = I x V x I, X = W^dag P W / p
-    lives on the composite with factor k replaced by the r-dimensional
-    range of V, a matrix of side r * D / n. The three probability-operator
-    checks `collapse` runs on e P e / p = W X W^dag report the same
-    residuals: the lift has X's trace and X's spectrum padded with zeros,
-    so the trace and eigenvalue parts read X; its largest anti-hermitian
-    entry is not unitarily invariant, so that residual is read on
-    W (X - X^dag) W^dag, at a cost of about D * D * r and no eigendecomposition.
-    Reduced to the target's factor, X gives each target probability as a
-    joint entry over the marginal p.
-    """
-    if prob.space != comp.space:
-        raise SpaceMismatchError(f"operator on {prob.space} does not live on the composite {comp.space}")
-    k, l = comp.factor_index(given.space), comp.factor_index(target.space)
-    v = given.basis_matrix
-    before, after = comp.dim_before(k), comp.dim_after(k)
-    boxed = prob.matrix.entries.reshape(before, v.shape[0], after, before, v.shape[0], after)
-    half = np.tensordot(v.conj(), boxed, axes=(0, 1))  # r, before, after, before, n, after
-    sandwich = np.tensordot(half, v, axes=(4, 0)).transpose(1, 0, 2, 3, 5, 4)
-    kept = CompositeSpace(comp.factors[:k] + (HilbertSpace(given.rank, "range"),) + comp.factors[k + 1:])
-    sandwich = sandwich.reshape(kept.dim, kept.dim)
-    p = _conditionable(float(np.trace(sandwich).real), ZERO_PROBABILITY_THRESHOLD)
-    posterior = Op(kept.space, sandwich / p)
-    skew = (posterior.entries - posterior.entries.conj().T).reshape((before, given.rank, after) * 2)
-    lifted_skew = np.tensordot(np.tensordot(v, skew, axes=(1, 1)), v.conj(), axes=(4, 1))
-    _require_invariants(posterior, cheb_norm(lifted_skew))
-    reduced = partial_trace(posterior, kept, l).entries
-    b = _projectors(target)
-    if k == l:
-        b = v.conj().T @ b @ v  # the target channels compressed to the range of V
-    return np.einsum("xy,jyx->j", reduced, b).real
-
-
-def luder(prob: ProbabilityOperator, obs: Observable) -> ProbabilityOperator:
+def luder(prob: ProbabilityOperator, obs: Observable, *, comp: CompositeSpace | None = None) -> ProbabilityOperator:
     """Decohere over an observable: the sandwich sum of e P e over its
     channels. Idempotent, and it preserves every channel probability."""
-    if obs.space != prob.space:
-        raise SpaceMismatchError(f"observable on {obs.space} does not match operator on {prob.space}")
-    total = np.zeros((prob.space.dim, prob.space.dim), dtype=np.complex128)
-    m = prob.matrix.entries
-    for ch in obs.channels:
-        p = ch.projector.entries
-        total = total + p @ m @ p
-    return ProbabilityOperator.from_entries(prob.space, total)
+    sandwiches = [_sandwich(prob, ch, comp) for ch in obs.channels]
+    return ProbabilityOperator.from_entries(prob.space, sum(s.lift(s.block) for s in sandwiches))
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,19 +389,16 @@ def branch_decompose(
     state,
     obs: Observable,
     threshold: float = ZERO_PROBABILITY_THRESHOLD,
+    *,
+    comp: CompositeSpace | None = None,
 ) -> BranchDecomposition:
     """Decompose a pure or mixed state over an observable's channels."""
-    vec: Vec | None = None
-    if isinstance(state, Vec):
-        vec = state
-        prob = ProbabilityOperator.pure(state)
-    elif isinstance(state, ProbabilityOperator):
-        prob = state
-    else:
+    vec = state if isinstance(state, Vec) else None
+    prob = state if vec is None else ProbabilityOperator.pure(vec)
+    if not isinstance(prob, ProbabilityOperator):
         raise TypeError("branch_decompose needs a Vec or a ProbabilityOperator")
-    if obs.space != prob.space:
-        raise SpaceMismatchError(f"observable on {obs.space} does not match state on {prob.space}")
-    probs = [born(prob, ch) for ch in obs.channels]
+    sandwiches = [_sandwich(prob, ch, comp) for ch in obs.channels]
+    probs = [s.probability for s in sandwiches]
     total = StructureReport("total", abs(sum(probs) - 1.0), INVARIANT_TOL)
     if not total:
         error = ValueError(
@@ -397,20 +407,18 @@ def branch_decompose(
         )
         error.residual = total.residual
         raise error
-    posteriors: list[ProbabilityOperator | None] = []
-    zero: list[int] = []
-    for i, (p, ch) in enumerate(zip(probs, obs.channels)):
-        if p <= threshold:
-            posteriors.append(None)
-            zero.append(i)
-        else:
-            posteriors.append(collapse(prob, ch, threshold).operator)
+    posteriors = tuple(
+        None if p <= threshold else ProbabilityOperator.from_entries(prob.space, s.lift(s.block) / p)
+        for s, p in zip(sandwiches, probs)
+    )
     branch_vectors = None
     if vec is not None:
-        branch_vectors = tuple(ch.projector @ vec for ch in obs.channels)
-    return BranchDecomposition(
-        obs, tuple(probs), tuple(posteriors), branch_vectors, tuple(zero), threshold
-    )
+        psi = vec.components.reshape(sandwiches[0].before, obs.space.dim, sandwiches[0].after)
+        branch_vectors = tuple(
+            Vec(prob.space, np.einsum("xy,ayb->axb", ch.projector.entries, psi).ravel()) for ch in obs.channels
+        )
+    zero = tuple(i for i, p in enumerate(probs) if p <= threshold)
+    return BranchDecomposition(obs, tuple(probs), posteriors, branch_vectors, zero, threshold)
 
 
 def heisenberg_transport(x, u: Op, tol: float = INVARIANT_TOL):

@@ -303,6 +303,10 @@ class StructureReport:
     residual: float
     tol: float
 
+    def __post_init__(self):
+        if not self.tol > 0:  # refuses NaN too
+            raise ValueError(f"tolerance must be positive, got {self.tol}")
+
     @property
     def passed(self) -> bool:
         return self.residual <= self.tol
@@ -329,8 +333,6 @@ def structure_check(m: Op, kind: str, tol: float = INVARIANT_TOL) -> StructureRe
       projector  max(hermitian, |m^2 - m|)
       psd        max(hermitian, deficit of the smallest eigenvalue below 0)
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     if kind not in STRUCTURE_KINDS:
         raise ValueError(f"unknown structure kind {kind!r}, expected one of {STRUCTURE_KINDS}")
     a = m.entries

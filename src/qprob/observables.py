@@ -110,7 +110,7 @@ def validate_observable(obs: Observable, tol: float = ORTHOGONALITY_TOL) -> Obse
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             r = cheb_norm(mats[i] @ mats[j])
-            if r > worst:
+            if not (r <= worst or np.isnan(worst)):  # the first NaN product is the worst
                 worst = r
                 worst_pair = (obs.labels[i], obs.labels[j])
     total = sum(mats, np.zeros((obs.space.dim, obs.space.dim), dtype=np.complex128))

@@ -367,6 +367,13 @@ def test_correlation_check_cat_box_imperfect():
     assert loose.adequately_correlated
 
 
+def test_correlation_check_refuses_a_nan_tolerance():
+    z = basis_observable(S2)
+    state = ProbabilityOperator.diagonal(S2, [0.5, 0.5])
+    with pytest.raises(ValueError, match="^tolerance must be positive, got nan$"):
+        correlation_check(state, z, z, tol=float("nan"))
+
+
 def test_correlation_check_skips_zero_rows():
     state = ProbabilityOperator.diagonal(CAT_COMP.space, [1.0, 0.0, 0.0, 0.0])
     rows = lift(basis_observable(HilbertSpace(2, "detector"), ("up", "down")), CAT_COMP)

@@ -1,10 +1,12 @@
 """Composite tables from reduced operators equal the lifted computation.
 
 On a composite, the CLI computes the gross, joint, conditional and net
-tables from the state reduced to the factors involved and never lifts a
-factor observable to a D x D projector. These tests hold every such table
-against the library's lifted route (`lift`, then `born`, `joint_matrix`,
-`conditional`, `net_table`) on seeded two- and three-factor composites in
+tables from the state reduced to the factors involved, and the collapse,
+luder and branches operators from the state compressed to each channel's
+range; it never lifts a factor observable to a D x D projector. These
+tests hold every such output against the library's lifted route (`lift`,
+then `born`, `joint_matrix`, `conditional`, `net_table`, `collapse`,
+`luder`, `branch_decompose`) on seeded two- and three-factor composites in
 diagonal, dense pure and density states, with random-unitary factor
 observables. They also pin what the dropped runtime commutation check
 guaranteed: lifts of observables on different factors commute, while a
@@ -16,18 +18,29 @@ import json
 import numpy as np
 import pytest
 
+import qprob.observables
 from qprob import (
+    CompositeSpace,
+    Eventuality,
+    HilbertSpace,
+    Observable,
     Scheme,
+    Vec,
+    ZeroProbabilityError,
     born,
+    branch_decompose,
     cheb_norm,
+    collapse,
     conditional,
     joint_matrix,
     lift,
+    luder,
     net_table,
+    tensor,
 )
 from qprob.cli import Options, main, run_command
 from qprob.scenario import load_file
-from tests.helpers import json_pairs, rand_density, rand_unitary
+from tests.helpers import json_pairs, rand_density, rand_pure, rand_unitary
 
 TOL = 1e-12
 KINDS = ("diagonal", "pure", "density")
@@ -83,10 +96,26 @@ def _scenario(dims: tuple[int, ...], kind: str) -> dict:
     }
 
 
-def _load(tmp_path, doc: dict):
+def _write(tmp_path, doc: dict):
     path = tmp_path / f"{doc['name']}.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    return load_file(path)
+    return path
+
+
+def _load(tmp_path, doc: dict):
+    return load_file(_write(tmp_path, doc))
+
+
+def _json_tables(capsys, path, *argv) -> dict[str, np.ndarray]:
+    """The tables of a `--format json` run by caption; a complex cell is
+    an [re, im] pair, a real one a number."""
+    assert main([*argv, "--scenario", str(path), "--format", "json"]) == 0
+    return {
+        section["caption"]: np.array([[complex(*c) if isinstance(c, list) else c for c in row]
+                                      for row in section["cells"]])
+        for section in json.loads(capsys.readouterr().out)["sections"]
+        if section["kind"] == "table"
+    }
 
 
 def _cells(report, caption: str) -> np.ndarray:
@@ -99,6 +128,10 @@ def _lifted(scn, oid: str):
 
 def _close(got, want) -> None:
     assert np.abs(np.asarray(got) - np.clip(want, 0.0, 1.0)).max() <= TOL
+
+
+def _same_operator(got, want) -> None:
+    assert cheb_norm(got - want.matrix.entries) <= TOL
 
 
 @pytest.mark.parametrize("dims, kind", CASES)
@@ -152,6 +185,92 @@ def test_net_matches_lifted(tmp_path, dims, kind):
     if len(dims) == 2:
         want = joint_matrix(scn.state, _lifted(scn, "f0"), _lifted(scn, "f1")).values
         _close(_cells(report, "joint gross probabilities: rows 'f0', columns 'f1'"), want)
+
+
+@pytest.mark.parametrize("dims, kind", CASES)
+def test_operator_commands_match_lifted(tmp_path, capsys, dims, kind):
+    # `tilted` is a rotated basis and `coarse` has a rank-2 channel, both on
+    # the first factor; the last factor's basis has the most factors before it.
+    path = _write(tmp_path, _scenario(dims, kind))
+    scn = load_file(path)
+    for oid in ("tilted", "coarse", f"f{len(dims) - 1}"):
+        lifted = _lifted(scn, oid)
+        tables = _json_tables(capsys, path, "luder", "--obs", oid)
+        want = luder(scn.state, lifted)
+        probs = tables[f"channel probabilities under the decohered operator (observable '{oid}')"]
+        _close(probs[:, 0], [born(want, ch) for ch in lifted.channels])
+        _same_operator(tables["decohered operator"], want)
+
+        tables = _json_tables(capsys, path, "branches", "--obs", oid)
+        bd = branch_decompose(scn.state, lifted)
+        _close(tables[f"branch probabilities (observable '{oid}')"][:, 0], bd.probabilities)
+        for label, post in zip(lifted.labels, bd.posteriors):
+            _same_operator(tables[f"branch '{label}': a-posteriori operator"], post)
+
+        for label, ch in zip(lifted.labels, lifted.channels):
+            tables = _json_tables(capsys, path, "collapse", "--on", f"{oid}:{label}")
+            _same_operator(tables[f"a-posteriori operator given '{oid}:{label}'"], collapse(scn.state, ch).operator)
+
+
+def test_zero_probability_branch_matches_lifted(tmp_path, capsys):
+    path = _write(tmp_path, _qubit_pair_scenario([0.2, 0.1, 0.7, 0.0, 0.0, 0.0]))
+    scn = load_file(path)
+    lifted = _lifted(scn, "za")
+    bd = branch_decompose(scn.state, lifted)
+    assert bd.zero_channels == (1,) and bd.posteriors[1] is None
+    tables = _json_tables(capsys, path, "branches", "--obs", "za")
+    _close(tables["branch probabilities (observable 'za')"][:, 0], bd.probabilities)
+    _same_operator(tables["branch 'za-0': a-posteriori operator"], bd.posteriors[0])
+    assert "branch 'za-1': a-posteriori operator" not in tables
+
+    with pytest.raises(ZeroProbabilityError) as lifted_error:
+        collapse(scn.state, lifted.channels[1])
+    assert main(["collapse", "--scenario", str(path), "--on", "za:za-1"]) == 2
+    assert capsys.readouterr().err == f"qprob: error: {lifted_error.value}\n"
+
+
+@pytest.mark.parametrize("dims", [(3, 4), (2, 3, 2)])
+def test_branch_vectors_match_lifted_projectors(tmp_path, dims):
+    scn = _load(tmp_path, _scenario(dims, "pure"))
+    rng = np.random.default_rng(list(dims))
+    vec = rand_pure(rng, scn.composite.space)
+    for sobs in scn.observables:
+        lifted = _lifted(scn, sobs.id)
+        got = branch_decompose(vec, sobs.observable, comp=scn.composite)
+        want = branch_decompose(vec, lifted)
+        _close(got.probabilities, want.probabilities)
+        for branch, ch in zip(got.branch_vectors, lifted.channels):
+            assert branch.space == scn.composite.space
+            assert cheb_norm(branch.components - (ch.projector @ vec).components) <= TOL
+
+
+def test_zero_probability_branch_vector_is_zero():
+    comp = CompositeSpace((HilbertSpace(2, "a"), HilbertSpace(3, "b")))
+    rng = np.random.default_rng(7)
+    vec = tensor(Vec(comp.factors[0], [1, 0]), rand_pure(rng, comp.factors[1]))
+    z = Observable(comp.factors[0], tuple(Eventuality.from_basis_states(comp.factors[0], [k]) for k in range(2)))
+    bd = branch_decompose(vec, z, comp=comp)
+    assert bd.zero_channels == (1,) and bd.posteriors[1] is None
+    assert cheb_norm(bd.branch_vectors[0].components - vec.components) <= TOL
+    assert cheb_norm(bd.branch_vectors[1].components) == 0.0
+
+
+def test_composite_commands_never_lift(tmp_path, monkeypatch):
+    scn = _load(tmp_path, _scenario((2, 3, 2), "density"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a factor eventuality was lifted to the composite")
+
+    monkeypatch.setattr(qprob.observables, "lift_eventuality", refuse)
+    requests = [
+        ("collapse", Options(on="tilted:tilted-1")),
+        ("luder", Options(obs="coarse")),
+        ("branches", Options(obs="f2")),
+        ("conditional", Options()),
+        ("conditional", Options(given="tilted:tilted-0", target="f0")),
+    ]
+    for command, opts in requests:
+        run_command(command, scn, opts)
 
 
 @pytest.mark.parametrize("dims", [(3, 4), (2, 3, 2)])

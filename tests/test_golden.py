@@ -8,10 +8,15 @@ this unchanged. A change that means to alter the output regenerates the
 file and shows the new bytes in review:
 
     PYTHONPATH=src python -m tests.test_golden
+
+which lists every case whose bytes changed against the file as it was,
+each with the largest absolute difference between its old and new
+numbers ("changed beyond its numbers" when more than numbers changed).
 """
 
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -117,10 +122,36 @@ def test_error_matches_golden(argv, capsys):
     assert captured.err == case["stderr"]
 
 
+# A number as the three formats print it: text %g (complex as a+bj), csv
+# and json repr.
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+def _numeric_difference(old: str, new: str) -> float | None:
+    """The largest absolute difference between the numbers of two outputs
+    that differ only in their numbers and whitespace, else None."""
+    old_numbers, new_numbers = _NUMBER.findall(old), _NUMBER.findall(new)
+
+    def skeleton(text: str) -> str:
+        return "".join(_NUMBER.sub(" ", text).split())
+
+    if len(old_numbers) != len(new_numbers) or skeleton(old) != skeleton(new):
+        return None
+    return max((abs(float(a) - float(b)) for a, b in zip(old_numbers, new_numbers) if a != b), default=0.0)
+
+
+def test_numeric_difference_reads_numbers_only():
+    assert _numeric_difference("x  -1.5e-17-0.25j\n", "x  0-0.25j\n") == 1.5e-17
+    assert _numeric_difference("e1,0.1\n", "e1,0.1\n") == 0.0
+    assert _numeric_difference("up 0.5\n", "down 0.5\n") is None
+    assert _numeric_difference("[0.5]", "[0.5, 0.5]") is None
+
+
 def _regenerate() -> None:
     from contextlib import redirect_stderr, redirect_stdout
     from io import StringIO
 
+    previous = _load_golden() if GOLDEN.exists() else {}
     cases = []
     for argv in golden_argvs() + ERROR_ARGVS:
         out, err = StringIO(), StringIO()
@@ -132,6 +163,29 @@ def _regenerate() -> None:
         cases.append(case)
     GOLDEN.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
     sys.stdout.write(f"wrote {len(cases)} cases to {GOLDEN}\n")
+
+    # What changed against the file as it was: each case, and the largest
+    # absolute difference between its numbers when nothing else changed.
+    largest, changed = 0.0, 0
+    for case in cases:
+        key = " ".join(case["argv"])
+        old = previous.get(key)
+        if old == case:
+            continue
+        changed += 1
+        if old is None:
+            sys.stdout.write(f"new: {key}\n")
+            continue
+        diff = None
+        if (old["exit"], old.get("stderr")) == (case["exit"], case.get("stderr")):
+            diff = _numeric_difference(old["stdout"], case["stdout"])
+        if diff is None:
+            sys.stdout.write(f"changed beyond its numbers: {key}\n")
+            largest = float("inf")
+        else:
+            sys.stdout.write(f"changed: {key}: largest absolute difference {diff:.3e}\n")
+            largest = max(largest, diff)
+    sys.stdout.write(f"{changed} of {len(cases)} cases changed; largest absolute difference {largest:.3e}\n")
 
 
 if __name__ == "__main__":

@@ -280,8 +280,9 @@ def test_structure_check_psd():
 def test_structure_check_guards():
     with pytest.raises(ValueError):
         structure_check(Op.identity(S2), "positive")
-    with pytest.raises(ValueError):
-        structure_check(Op.identity(S2), "hermitian", tol=0.0)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError, match=f"tolerance must be positive, got {tol}"):
+            structure_check(Op.identity(S2), "hermitian", tol=tol)
 
 
 def test_structure_tolerance_monotone():

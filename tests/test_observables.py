@@ -84,6 +84,17 @@ def test_validate_flags_nonorthogonal_pair():
     assert report.worst_pair == ("z", "x")
 
 
+def test_validate_reports_a_nan_product_as_the_orthogonality_residual():
+    broken = Eventuality(S2, [[np.nan], [0]])
+    down, up = Eventuality.from_basis_states(S2, [1]), Eventuality.from_basis_states(S2, [0])
+    report = validate_observable(Observable(S2, (broken, down)))
+    assert np.isnan(report.orthogonality_residual) and report.worst_pair == ("e1", "e2")
+    assert not report.passed
+    # A later finite product does not replace the NaN pair.
+    report = validate_observable(Observable(S2, (broken, down, up)))
+    assert np.isnan(report.orthogonality_residual) and report.worst_pair == ("e1", "e2")
+
+
 def test_validate_flags_incompleteness():
     obs = Observable(S3, (Eventuality.from_basis_states(S3, [0]),), ("only",))
     report = validate_observable(obs)
