@@ -24,14 +24,12 @@ from . import __version__
 from .engine import (
     _INVARIANTS,
     JointProbabilityMatrix,
-    ProbabilityOperator,
     _correlation_report,
     born,
     branch_decompose,
     collapse,
     conditional,
-    factor_born,
-    factor_joint,
+    joint_matrix,
     luder,
 )
 from .errors import (
@@ -41,9 +39,8 @@ from .errors import (
     UnknownPresetError,
     ZeroProbabilityError,
 )
-from .hilbert import INVARIANT_TOL, CompositeSpace
+from .hilbert import INVARIANT_TOL
 from .lattice import CLASSICAL_SUM_TOL
-from .observables import Observable
 from .render import FORMATS, RenderedTable, Report, TextLines, format_number, render_report
 from .scenario import PRESET_NAMES, Scenario, ScenarioObservable, load_file, load_preset
 from .weighting import Scheme, lifetime_distribution, net_table
@@ -130,13 +127,6 @@ def _observable(scn: Scenario, obs_id: str) -> ScenarioObservable:
         return scn.observable_by_id(obs_id)
     except KeyError as exc:
         raise IncompatibleCommandError(exc.args[0]) from None
-
-
-def _channel_probs(prob: ProbabilityOperator, comp: CompositeSpace | None, obs: Observable) -> list[float]:
-    # On a composite, from the operator reduced to the observable's factor.
-    if comp is None:
-        return [born(prob, ch) for ch in obs.channels]
-    return factor_born(prob, comp, obs).tolist()
 
 
 def _channel_ref(scn: Scenario, text: str, flag: str):
@@ -293,7 +283,7 @@ def _cmd_gross(scn: Scenario, opts: Options) -> Report:
         sections.append(_probability_table("event probabilities", labels, probs))
     else:
         for sobs in scn.observables:
-            probs = _channel_probs(scn.state, scn.composite, sobs.observable)
+            probs = born(scn.state, sobs.observable, comp=scn.composite)
             sections.append(_probability_table(
                 f"gross probabilities: observable '{sobs.id}'", sobs.observable.labels, probs
             ))
@@ -309,8 +299,8 @@ def _cmd_gross(scn: Scenario, opts: Options) -> Report:
 def _joint(scn: Scenario, rows: ScenarioObservable, cols: ScenarioObservable,
            opts: Options) -> JointProbabilityMatrix:
     # --tol sets the commutation tolerance, but never below the invariant tolerance.
-    return factor_joint(scn.state, scn.composite, rows.observable, cols.observable,
-                        tol=max(opts.tol, INVARIANT_TOL))
+    return joint_matrix(scn.state, rows.observable, cols.observable,
+                        tol=max(opts.tol, INVARIANT_TOL), comp=scn.composite)
 
 
 def _joint_table(rows: ScenarioObservable, cols: ScenarioObservable,
@@ -395,7 +385,7 @@ def _cmd_luder(scn: Scenario, opts: Options) -> Report:
     table = _probability_table(
         f"channel probabilities under the decohered operator (observable '{sobs.id}')",
         sobs.observable.labels,
-        _channel_probs(result, scn.composite, sobs.observable),
+        born(result, sobs.observable, comp=scn.composite),
     )
     op_table = _operator_table("decohered operator", result.matrix)
     return Report(f"luder: scenario '{scn.name}'", (table, op_table))
@@ -436,7 +426,7 @@ def _cmd_net(scn: Scenario, opts: Options) -> Report:
             raise IncompatibleCommandError(
                 f"observer {o.id!r} has no perception observable; gross probabilities are undefined"
             )
-        gross.append(_channel_probs(scn.state, scn.composite, o.observable))
+        gross.append(born(scn.state, o.observable, comp=scn.composite))
         channel_labels.append(o.observable.labels)
     table = net_table(scheme, scn.observers, gross)
 

@@ -2,10 +2,10 @@
 
 A probability operator is a hermitian, unit-trace, positive semidefinite
 operator; the probability it assigns to an eventuality is tr(P e). On
-composites, reduced operators arise by partial trace, joint tables by
-pairing commuting lifted observables, and conditioning by the projector
-sandwich e P e / tr(P e); `factor_born` and `factor_joint` give the same
-tables for factor-local observables from reduced operators.
+composites, reduced operators arise by partial trace, and conditioning by
+the projector sandwich e P e / tr(P e). Channel probabilities and joint
+tables of observables on factors of a composite are read from the
+operator reduced to those factors, with no lifted projector.
 Decoherence of a provisional operator over an observable is the sandwich
 sum over its channels; pure inputs decompose into branch vectors.
 Conditioning on an eventuality of probability below the zero threshold
@@ -49,8 +49,6 @@ __all__ = [
     "reduce_composite",
     "collapse",
     "joint_matrix",
-    "factor_born",
-    "factor_joint",
     "conditional",
     "luder",
     "branch_decompose",
@@ -134,12 +132,45 @@ def _require_invariants(a: np.ndarray, skew: float) -> tuple[StructureReport, ..
     )
 
 
-def born(prob: ProbabilityOperator, e: Eventuality) -> float:
-    """Probability tr(P e) of an eventuality. Raw value; clamping to
-    [0, 1] is presentation-side only."""
-    if prob.space != e.space:
-        raise SpaceMismatchError(f"operator on {prob.space} does not match eventuality on {e.space}")
-    return float(np.trace(prob.matrix.entries @ e.projector.entries).real)
+# -- factor-local tables ------------------------------------------------
+#
+# On a composite, a table over factor-local observables depends only on
+# the operator reduced to their factors (Nielsen & Chuang, section 2.4.3):
+# tr(P (a_i x b_j)) = tr(P_kl (a_i x b_j)) with P_kl the partial trace onto
+# factors k and l. `born` and `joint_matrix` contract the reduced operator,
+# with one axis per factor index, against the stacked factor projectors;
+# no D x D product is formed and no lifted projector is built.
+
+# Contract the operator with the first projector stack, then with the
+# second: the intermediate has one projector index and two factor indices.
+_PAIRWISE = ["einsum_path", (0, 1), (0, 1)]
+
+
+def _projectors(obs: Observable) -> np.ndarray:
+    return np.array([ch.projector.entries for ch in obs.channels])
+
+
+def _reduced(prob: ProbabilityOperator, comp: CompositeSpace | None, *spaces: HilbertSpace) -> np.ndarray:
+    # P itself with comp None (its space is the caller's to check), else P
+    # reduced to the factors `spaces` of comp, in that order.
+    if comp is None:
+        return prob.matrix.entries
+    return partial_trace(prob.matrix, comp, tuple(comp.factor_index(s) for s in spaces)).entries
+
+
+def born(prob: ProbabilityOperator, x, *, comp: CompositeSpace | None = None) -> float | np.ndarray:
+    """Probability tr(P e) of an eventuality, as a float, or the array of
+    an observable's channel probabilities. `comp` is the composite that
+    x's space is a factor of (None: the operator's own space); P is
+    reduced to that factor once, and read unchecked there. Raw values;
+    clamping to [0, 1] is presentation-side only."""
+    if comp is None and prob.space != x.space:
+        kind = "observable" if isinstance(x, Observable) else "eventuality"
+        raise SpaceMismatchError(f"operator on {prob.space} does not match {kind} on {x.space}")
+    reduced = _reduced(prob, comp, x.space)
+    if isinstance(x, Observable):
+        return np.einsum("xy,jyx->j", reduced, _projectors(x)).real
+    return float(np.einsum("xy,yx->", reduced, x.projector.entries).real)
 
 
 def reduce_composite(state, comp: CompositeSpace, keep: int) -> ProbabilityOperator:
@@ -261,19 +292,26 @@ def joint_matrix(
     rows: Observable,
     cols: Observable,
     tol: float = INVARIANT_TOL,
+    *,
+    comp: CompositeSpace | None = None,
 ) -> JointProbabilityMatrix:
-    """Joint probability table over two observables on the operator's
-    space. Every channel pair must commute within tol; a violation is
-    rejected naming the pair."""
-    if rows.space != prob.space or cols.space != prob.space:
+    """Joint probability table tr(P a_i b_j) over two observables, on the
+    operator's space or, with `comp`, each on a factor of that composite.
+    Two observables on one space must commute within tol; a violation is
+    rejected naming the pair ([A x I, B x I] = [A, B] x I has the same
+    residual). Lifts of observables on different factors commute exactly."""
+    if comp is None and not rows.space == cols.space == prob.space:
         raise SpaceMismatchError("joint_matrix needs observables on the operator's space")
-    _require_commuting(rows, cols, tol)
-    m = prob.matrix.entries
-    out = np.empty((rows.channel_count, cols.channel_count), dtype=np.float64)
-    for i, ea in enumerate(rows.channels):
-        for j, eb in enumerate(cols.channels):
-            out[i, j] = float(np.trace(m @ ea.projector.entries @ eb.projector.entries).real)
-    return JointProbabilityMatrix(rows, cols, out)
+    if rows.space == cols.space:
+        reduced = _reduced(prob, comp, rows.space)
+        _require_commuting(rows, cols, tol)
+        subscripts = "xy,iyz,jzx->ij"
+    else:
+        n, m = rows.space.dim, cols.space.dim
+        reduced = _reduced(prob, comp, rows.space, cols.space).reshape(n, m, n, m)
+        subscripts = "xyzw,izx,jwy->ij"
+    table = np.einsum(subscripts, reduced, _projectors(rows), _projectors(cols), optimize=_PAIRWISE)
+    return JointProbabilityMatrix(rows, cols, table.real)
 
 
 def conditional(
@@ -307,57 +345,6 @@ def conditional(
     if target.space == given.space:
         b = s.v.conj().T @ b @ s.v  # the target channels compressed to the range of V
     return np.einsum("xy,jyx->j", reduced, b).real
-
-
-# -- factor-local tables ------------------------------------------------
-#
-# On a composite, a table over factor-local observables depends only on
-# the operator reduced to their factors (Nielsen & Chuang, section 2.4.3):
-# tr(P (a_i x b_j)) = tr(P_kl (a_i x b_j)) with P_kl the partial trace onto
-# factors k and l. No function below builds a lifted D x D projector:
-# `factor_born` and `factor_joint` contract the reduced operator, with
-# one axis per factor index, against the stacked factor projectors.
-
-# Contract the operator with the first projector stack, then with the
-# second: the intermediate has one projector index and two factor indices.
-_PAIRWISE = ["einsum_path", (0, 1), (0, 1)]
-
-
-def _projectors(obs: Observable) -> np.ndarray:
-    return np.array([ch.projector.entries for ch in obs.channels])
-
-
-def factor_born(prob: ProbabilityOperator, comp: CompositeSpace, obs: Observable) -> np.ndarray:
-    """Channel probabilities of an observable on a factor of a composite:
-    the numbers `born` gives for its lift. The reduced operator is read
-    unchecked, as `factor_joint` reads it; the state's own checks hold."""
-    reduced = partial_trace(prob.matrix, comp, comp.factor_index(obs.space)).entries
-    return np.einsum("xy,jyx->j", reduced, _projectors(obs)).real
-
-
-def factor_joint(
-    prob: ProbabilityOperator,
-    comp: CompositeSpace,
-    rows: Observable,
-    cols: Observable,
-    tol: float = INVARIANT_TOL,
-) -> JointProbabilityMatrix:
-    """Joint probability table of two observables on factors of a
-    composite: the numbers `joint_matrix` gives for their lifts. On
-    different factors the lifts commute exactly; two observables on one
-    factor must commute within tol, checked on the factor projectors
-    ([A x I, B x I] = [A, B] x I has the same residual)."""
-    k, l = comp.factor_index(rows.space), comp.factor_index(cols.space)
-    a, b = _projectors(rows), _projectors(cols)
-    if k == l:
-        _require_commuting(rows, cols, tol)
-        reduced = partial_trace(prob.matrix, comp, k).entries
-        table = np.einsum("xy,iyz,jzx->ij", reduced, a, b, optimize=_PAIRWISE)
-    else:
-        n, m = comp.factors[k].dim, comp.factors[l].dim
-        reduced = partial_trace(prob.matrix, comp, (k, l)).entries.reshape(n, m, n, m)
-        table = np.einsum("xyzw,izx,jwy->ij", reduced, a, b, optimize=_PAIRWISE)
-    return JointProbabilityMatrix(rows, cols, table.real)
 
 
 def luder(prob: ProbabilityOperator, obs: Observable, *, comp: CompositeSpace | None = None) -> ProbabilityOperator:

@@ -13,7 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from string import ascii_lowercase, ascii_uppercase
+from string import ascii_lowercase
 
 import numpy as np
 
@@ -279,15 +279,29 @@ def partial_trace(m: Op, comp: CompositeSpace, keep: int | tuple[int, ...]) -> O
             raise ValueError(f"keep index {k} out of range for {n} factors")
     if not kept or len(set(kept)) != len(kept):
         raise ValueError(f"keep indices {kept} must be distinct and not empty")
-    dims = comp.dims
-    boxed = m.entries.reshape(dims + dims)
-    row = ascii_lowercase[:n]
-    col = list(row)
-    for k in kept:
-        col[k] = ascii_uppercase[k]
-    subscript = f"{row}{''.join(col)}->{''.join(row[k] for k in kept)}{''.join(col[k] for k in kept)}"
-    size = math.prod(dims[k] for k in kept)
-    reduced = np.einsum(subscript, boxed).reshape(size, size)
+    # One axis per run: a run of traced-out factors, or of kept factors that
+    # `keep` names in the same order. The einsum's axis count follows the
+    # number of kept runs, not the number of factors.
+    position = {k: i for i, k in enumerate(kept)}
+    shape: list[int] = []
+    row = col = ""
+    first: dict[int, str] = {}  # a kept run's axis, by its first position in keep
+    last = None
+    for k, dim in enumerate(comp.dims):
+        p = position.get(k)
+        if shape and (p is None if last is None else p == last + 1):
+            shape[-1] *= dim
+        else:
+            axis = ascii_lowercase[len(shape)]
+            shape.append(dim)
+            row += axis
+            col += axis if p is None else axis.upper()
+            if p is not None:
+                first[p] = axis
+        last = p
+    out = "".join(first[p] for p in sorted(first))
+    size = math.prod(comp.dims[k] for k in kept)
+    reduced = np.einsum(f"{row}{col}->{out}{out.upper()}", m.entries.reshape(shape * 2)).reshape(size, size)
     space = comp.factors[kept[0]] if len(kept) == 1 else _product_space(*(comp.factors[k] for k in kept))
     return Op(space, reduced)
 

@@ -155,7 +155,7 @@ def expectation(q: QuantitativeObservable, prob) -> float:
         raise TypeError("expectation needs a probability operator or an Op")
     if m.space != q.space:
         raise SpaceMismatchError(f"operator on {m.space} does not match observable on {q.space}")
-    return float(np.trace(m.entries @ build_operator(q).entries).real)
+    return float(np.einsum("xy,yx->", m.entries, build_operator(q).entries).real)
 
 
 def spectral_observable(m: Op, tol: float = 1e-8) -> QuantitativeObservable:

@@ -4,13 +4,15 @@ On a composite, the CLI computes the gross, joint, conditional and net
 tables from the state reduced to the factors involved, and the collapse,
 luder and branches operators from the state compressed to each channel's
 range; it never lifts a factor observable to a D x D projector. These
-tests hold every such output against the library's lifted route (`lift`,
-then `born`, `joint_matrix`, `conditional`, `net_table`, `collapse`,
-`luder`, `branch_decompose`) on seeded two- and three-factor composites in
-diagonal, dense pure and density states, with random-unitary factor
-observables. They also pin what the dropped runtime commutation check
-guaranteed: lifts of observables on different factors commute, while a
-pair on one factor is still checked.
+tests hold the gross, joint and net tables, and the library's `born` and
+`joint_matrix` with `comp=`, against the textbook tr(P a_i b_j) on D x D
+projectors that the test builds with `np.kron`, and the other outputs
+against the library's lifted route (`lift`, then `conditional`,
+`collapse`, `luder`, `branch_decompose`), on seeded two- and three-factor
+composites in diagonal, dense pure and density states, with
+random-unitary factor observables. They also pin what the dropped runtime
+commutation check guaranteed: lifts of observables on different factors
+commute, while a pair on one factor is still checked.
 """
 
 import json
@@ -25,6 +27,7 @@ from qprob import (
     HilbertSpace,
     Observable,
     Scheme,
+    StructureError,
     Vec,
     ZeroProbabilityError,
     born,
@@ -126,6 +129,22 @@ def _lifted(scn, oid: str):
     return lift(scn.observable_by_id(oid).observable, scn.composite)
 
 
+def _kron_lift(scn, oid: str) -> list[np.ndarray]:
+    """The D x D projectors I x a_i x I of an observable's channels."""
+    comp, obs = scn.composite, scn.observable_by_id(oid).observable
+    k = comp.factor_index(obs.space)
+    before, after = np.eye(comp.dim_before(k)), np.eye(comp.dim_after(k))
+    return [np.kron(np.kron(before, ch.projector.entries), after) for ch in obs.channels]
+
+
+def _trace_table(state, rows: list[np.ndarray], cols: list[np.ndarray] | None = None) -> np.ndarray:
+    """tr(P a_i b_j) over D x D projectors; tr(P a_i) without cols."""
+    m = state.matrix.entries
+    if cols is None:
+        return np.array([np.trace(m @ a).real for a in rows])
+    return np.array([[np.trace(m @ a @ b).real for b in cols] for a in rows])
+
+
 def _close(got, want) -> None:
     assert np.abs(np.asarray(got) - np.clip(want, 0.0, 1.0)).max() <= TOL
 
@@ -139,7 +158,7 @@ def test_gross_matches_lifted(tmp_path, dims, kind):
     scn = _load(tmp_path, _scenario(dims, kind))
     report = run_command("gross", scn, Options())
     for sobs in scn.observables:
-        want = [born(scn.state, ch) for ch in _lifted(scn, sobs.id).channels]
+        want = _trace_table(scn.state, _kron_lift(scn, sobs.id))
         _close(_cells(report, f"gross probabilities: observable '{sobs.id}'")[:, 0], want)
 
 
@@ -151,7 +170,7 @@ def test_joint_matches_lifted(tmp_path, dims, kind):
     pairs += [("f0", "coarse"), ("coarse", "f0")]  # one factor, commuting
     for rows, cols in pairs:
         report = run_command("joint", scn, Options(rows=rows, cols=cols))
-        want = joint_matrix(scn.state, _lifted(scn, rows), _lifted(scn, cols)).values
+        want = _trace_table(scn.state, _kron_lift(scn, rows), _kron_lift(scn, cols))
         _close(_cells(report, f"joint probabilities: rows '{rows}', columns '{cols}'"), want)
 
 
@@ -177,14 +196,39 @@ def test_conditional_matches_lifted(tmp_path, dims, kind):
 def test_net_matches_lifted(tmp_path, dims, kind):
     scn = _load(tmp_path, _scenario(dims, kind))
     report = run_command("net", scn, Options())
-    gross = [[born(scn.state, ch) for ch in lift(o.observable, scn.composite).channels] for o in scn.observers]
+    gross = [_trace_table(scn.state, _kron_lift(scn, scn.perceives[o.id].id)) for o in scn.observers]
     table = net_table(Scheme("entropic", 2), scn.observers, gross)
     cells = _cells(report, "net perception probabilities")
     _close(cells[:, 0], np.concatenate(table.gross))
     _close(cells[:, 1], np.concatenate(table.net))
     if len(dims) == 2:
-        want = joint_matrix(scn.state, _lifted(scn, "f0"), _lifted(scn, "f1")).values
+        want = _trace_table(scn.state, _kron_lift(scn, "f0"), _kron_lift(scn, "f1"))
         _close(_cells(report, "joint gross probabilities: rows 'f0', columns 'f1'"), want)
+
+
+@pytest.mark.parametrize("dims, kind", CASES)
+def test_library_tables_take_comp(tmp_path, dims, kind):
+    scn = _load(tmp_path, _scenario(dims, kind))
+    comp, obs = scn.composite, {so.id: so.observable for so in scn.observables}
+    for oid in obs:
+        want = _trace_table(scn.state, _kron_lift(scn, oid))
+        assert np.abs(born(scn.state, obs[oid], comp=comp) - want).max() <= TOL
+        for ch, p in zip(obs[oid].channels, want):
+            got = born(scn.state, ch, comp=comp)
+            assert isinstance(got, float) and abs(got - p) <= TOL
+
+    factor_obs = [f"f{k}" for k in range(len(dims))]
+    pairs = [(a, b) for a in factor_obs for b in factor_obs if a != b]
+    pairs += [("f0", "coarse"), ("coarse", "f0")]  # one factor, commuting
+    for rows, cols in pairs:
+        jm = joint_matrix(scn.state, obs[rows], obs[cols], comp=comp)
+        assert np.abs(jm.values - _trace_table(scn.state, _kron_lift(scn, rows), _kron_lift(scn, cols))).max() <= TOL
+
+    pa, pb = obs["f0"].channels[0].projector.entries, obs["tilted"].channels[0].projector.entries
+    message = f"channels 'f0-0' and 'tilted-0' do not commute: residual {cheb_norm(pa @ pb - pb @ pa):.3e} exceeds 1e-10"
+    with pytest.raises(StructureError) as error:
+        joint_matrix(scn.state, obs["f0"], obs["tilted"], comp=comp)
+    assert str(error.value) == message
 
 
 @pytest.mark.parametrize("dims, kind", CASES)
@@ -256,21 +300,27 @@ def test_zero_probability_branch_vector_is_zero():
 
 
 def test_composite_commands_never_lift(tmp_path, monkeypatch):
-    scn = _load(tmp_path, _scenario((2, 3, 2), "density"))
-
     def refuse(*args, **kwargs):
         raise AssertionError("a factor eventuality was lifted to the composite")
 
     monkeypatch.setattr(qprob.observables, "lift_eventuality", refuse)
-    requests = [
-        ("collapse", Options(on="tilted:tilted-1")),
-        ("luder", Options(obs="coarse")),
-        ("branches", Options(obs="f2")),
-        ("conditional", Options()),
-        ("conditional", Options(given="tilted:tilted-0", target="f0")),
-    ]
-    for command, opts in requests:
-        run_command(command, scn, opts)
+    # On (3, 4), which has two factors, `check` computes its joint table too.
+    for dims in ((2, 3, 2), (3, 4)):
+        scn = _load(tmp_path, _scenario(dims, "density"))
+        requests = [
+            ("collapse", Options(on="tilted:tilted-1")),
+            ("luder", Options(obs="coarse")),
+            ("branches", Options(obs=f"f{len(dims) - 1}")),
+            ("conditional", Options()),
+            ("conditional", Options(given="tilted:tilted-0", target="f0")),
+            ("gross", Options()),
+            ("joint", Options()),
+            ("joint", Options(rows="f0", cols="coarse")),
+            ("net", Options()),
+            ("check", Options()),
+        ]
+        for command, opts in requests:
+            run_command(command, scn, opts)
 
 
 @pytest.mark.parametrize("dims", [(3, 4), (2, 3, 2)])
@@ -384,3 +434,23 @@ def test_conditional_reads_the_hermitian_residual_of_the_lift(tmp_path, capsys, 
         assert captured.err == (
             "qprob: error: probability operator must be hermitian: residual 1.600e-10 exceeds 1e-10\n"
         )
+
+
+@pytest.mark.parametrize("command", ["gross", "joint", "conditional", "luder"])
+def test_many_unit_factors_match_the_two_factor_document(tmp_path, capsys, command):
+    # 27 factors, one qubit and 26 of dim 1, describe the same system as
+    # the qubit and one dim-1 factor: the tables agree exactly.
+    rng = np.random.default_rng(27)
+    doc = _two_qubit_scenario({"kind": "density", "matrix": [json_pairs(row) for row in rand_density(rng, 2)]})
+    doc["spaces"][1]["dim"] = 1
+    doc["observables"][1] = _observable("zb", "b", [[np.array([1])]])
+    del doc["observers"], doc["weighting"]
+    tables = []
+    for extra in (0, 25):
+        doc["spaces"][2:] = [{"id": f"c{k}", "dim": 1} for k in range(extra)]
+        doc["composite"] = [space["id"] for space in doc["spaces"]]
+        path = tmp_path / f"units-{extra}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        tables.append(_json_tables(capsys, path, command))
+    two, many = tables
+    assert list(two) == list(many) and all(np.array_equal(two[c], many[c]) for c in two)

@@ -217,6 +217,17 @@ def test_partial_trace_against_summation_oracle():
             assert cheb_norm(got.entries - want) < 1e-12
 
 
+def test_partial_trace_of_more_factors_than_letters():
+    # 28 factors, 26 of them of dim 1: each traced-out run is one einsum
+    # axis, and the kept factors in order are one more.
+    rng = np.random.default_rng(28)
+    comp = CompositeSpace((S2, *(HilbertSpace(1, f"u{k}") for k in range(26)), S3))
+    m = Op(comp.space, rand_density(rng, comp.dim))
+    for keep in (0, 27):
+        assert cheb_norm(partial_trace(m, comp, keep).entries - _partial_trace_oracle(m.entries, comp.dims, keep)) < 1e-12
+    assert cheb_norm(partial_trace(m, comp, tuple(range(28))).entries - m.entries) == 0.0
+
+
 def test_partial_trace_keeps_an_ordered_tuple_of_factors():
     # tr_B(A x B x C), kept in the order (C, A), is tr(B) C x A.
     rng = np.random.default_rng(7)
