@@ -1,8 +1,9 @@
 """Golden outputs: the CLI's exact stdout bytes and exit status, frozen.
 
 Covers every criterion-10 preset x command x format, the three collapse
-targets, the midlife lifetime scenario and a dense scenario whose tables
-have complex cells. Requests that qprob refuses are frozen with their
+targets, the midlife lifetime scenario, a small scenario whose tables
+have complex cells and a D = 16 dense one whose operator tables have many
+rows of mixed real and complex cells. Requests that qprob refuses are frozen with their
 stderr too. A refactor that means to keep the output must pass
 this unchanged. A change that means to alter the output regenerates the
 file and shows the new bytes in review:
@@ -51,6 +52,16 @@ COMPLEX_COMMANDS = (
     ("branches",),
     ("check",),
 )
+# A dense complex density on a 4 x 4 composite read through a rotated
+# factor observable: D x D operator tables wide enough to exercise column
+# widths, with real and complex cells side by side, at three precisions.
+DENSE_SCENARIO = "tests/data/dense_complex_4x4.json"
+DENSE_COMMANDS = (
+    ("collapse", "--on", "rot-b:r1"),
+    ("luder", "--obs", "rot-b"),
+    ("branches", "--obs", "rot-b"),
+)
+DENSE_PRECISIONS = ("1", "17")
 
 # Requests qprob itself refuses: a command on a scenario of the wrong kind,
 # and flags naming what the scenario lacks. argparse usage errors are left
@@ -90,6 +101,9 @@ def golden_argvs() -> list[list[str]]:
     argvs += [["lifetime", "--scenario", "scenarios/midlife.json", "--format", fmt] for fmt in FORMATS]
     for command in COMPLEX_COMMANDS:
         argvs += [[*command, "--scenario", COMPLEX_SCENARIO, "--format", fmt] for fmt in FORMATS]
+    for command in DENSE_COMMANDS:
+        argvs += [[*command, "--scenario", DENSE_SCENARIO, "--format", fmt] for fmt in FORMATS]
+    argvs += [["luder", "--obs", "rot-b", "--scenario", DENSE_SCENARIO, "--precision", p] for p in DENSE_PRECISIONS]
     return argvs
 
 
