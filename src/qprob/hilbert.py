@@ -13,7 +13,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from string import ascii_lowercase
 
 import numpy as np
 
@@ -259,6 +258,10 @@ def tensor(a, b):
     raise TypeError("tensor expects two Vec or two Op arguments")
 
 
+_MAX_AXES = 64  # numpy's limits: axes of one array,
+_MAX_LABELS = 52  # and distinct einsum labels
+
+
 def partial_trace(m: Op, comp: CompositeSpace, keep: int | tuple[int, ...]) -> Op:
     """Trace out every factor of `comp` except `keep`.
 
@@ -280,28 +283,35 @@ def partial_trace(m: Op, comp: CompositeSpace, keep: int | tuple[int, ...]) -> O
     if not kept or len(set(kept)) != len(kept):
         raise ValueError(f"keep indices {kept} must be distinct and not empty")
     # One axis per run: a run of traced-out factors, or of kept factors that
-    # `keep` names in the same order. The einsum's axis count follows the
-    # number of kept runs, not the number of factors.
+    # `keep` names in the same order. The einsum labels axes by position:
+    # run r's row axis is r, and so is its column axis if r is traced out;
+    # the column axes of kept runs take the labels after the rows', in keep
+    # order. The axis count follows the number of runs, not of factors.
     position = {k: i for i, k in enumerate(kept)}
     shape: list[int] = []
-    row = col = ""
-    first: dict[int, str] = {}  # a kept run's axis, by its first position in keep
+    runs: list[int | None] = []  # each run's position in keep, None if traced out
     last = None
     for k, dim in enumerate(comp.dims):
         p = position.get(k)
         if shape and (p is None if last is None else p == last + 1):
             shape[-1] *= dim
         else:
-            axis = ascii_lowercase[len(shape)]
             shape.append(dim)
-            row += axis
-            col += axis if p is None else axis.upper()
-            if p is not None:
-                first[p] = axis
+            runs.append(p)
         last = p
-    out = "".join(first[p] for p in sorted(first))
+    rows = [r for _, r in sorted((p, r) for r, p in enumerate(runs) if p is not None)]
+    cols = [len(runs) + j for j in range(len(rows))]
+    if 2 * len(runs) > _MAX_AXES or len(runs) + len(rows) > _MAX_LABELS:
+        raise ValueError(
+            f"keep {kept} splits the {n} factors into {len(runs)} runs, {len(rows)} of them kept; "
+            f"numpy's einsum takes at most {_MAX_AXES} axes and {_MAX_LABELS} labels"
+        )
+    column = list(range(len(runs)))
+    for r, label in zip(rows, cols):
+        column[r] = label
     size = math.prod(comp.dims[k] for k in kept)
-    reduced = np.einsum(f"{row}{col}->{out}{out.upper()}", m.entries.reshape(shape * 2)).reshape(size, size)
+    entries = m.entries.reshape(shape * 2)
+    reduced = np.einsum(entries, list(range(len(runs))) + column, rows + cols).reshape(size, size)
     space = comp.factors[kept[0]] if len(kept) == 1 else _product_space(*(comp.factors[k] for k in kept))
     return Op(space, reduced)
 

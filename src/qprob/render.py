@@ -1,13 +1,21 @@
 """Deterministic table rendering: aligned text, csv, and structured json.
 
-A table's cells are one read-only 2-D float64 or complex128 array; every
-format reads its values through `tolist()`, so each cell is a Python float
-or complex. Aligned text formats numbers with %.{precision}g, and a
-complex cell with a zero imaginary part prints as its real part. CSV keeps
-full float precision (shortest round-trip repr) so re-parsing recovers the
-in-memory values bit for bit; a table with any nonzero imaginary part
-splits every column into .re/.im columns. The json format mirrors the
-scenario file convention: complex numbers as [re, im] pairs. Output is
+A table's cells are one read-only 2-D float64 or complex128 array. Every
+format reads it through `tolist()` and formats a whole row at a time, with
+no Python function call per cell: a text or json row is one %-format call
+on a template built once per pattern of complex cells in a row, and a csv
+row is one join of `repr`s. Aligned text formats numbers with
+%.{precision}g, negative zero as 0, and a complex cell with a zero
+imaginary part prints as its real part; column widths come from the
+formatted strings, and one format string per table lays out every line.
+CSV keeps full float precision (shortest round-trip repr) so re-parsing
+recovers the in-memory values bit for bit; a table with any nonzero
+imaginary part splits every column into .re/.im columns. The json format
+mirrors the scenario file convention: complex numbers as [re, im] pairs.
+Its bytes are those of `json.dumps(payload, indent=2)`, but only the small
+skeleton (title, captions, labels, lines) goes through the encoder: with
+`indent` set, the stdlib runs its pure-Python encoder, one function call
+per cell, so the cells are written by hand in the same layout. Output is
 ASCII throughout so bytes do not depend on the locale.
 """
 
@@ -31,19 +39,15 @@ __all__ = [
 FORMATS = ("text", "csv", "json")
 
 
+def _number(precision: int, sign: str = "") -> str:
+    """The %-format field spelling a number as %.{precision}g. Callers pass
+    x + 0.0, which turns negative zero into zero."""
+    return f"%{sign}.{precision}g"
+
+
 def format_number(x, precision: int = 6) -> str:
     """%.{precision}g with negative zero normalized away."""
-    x = float(x)
-    if x == 0.0:
-        x = 0.0
-    return f"{x:.{precision}g}"
-
-
-def _format_cell(x: float | complex, precision: int) -> str:
-    if isinstance(x, complex) and x.imag != 0.0:
-        sign = "+" if x.imag >= 0 else "-"
-        return f"{format_number(x.real, precision)}{sign}{format_number(abs(x.imag), precision)}j"
-    return format_number(x.real, precision)
+    return _number(precision) % (float(x) + 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,33 +101,44 @@ class Report:
         object.__setattr__(self, "sections", tuple(self.sections))
 
 
+def _row_texts(cells: np.ndarray, real: str, pair: str, join) -> list[str]:
+    """Each row of `cells` as one string, made by one %-format call.
+
+    A real table's row template spells each cell as `real`. A complex
+    table's rows are read as (re, im) pairs: a cell with a nonzero
+    imaginary part is spelled `pair`, any other as `real` followed by
+    "%.0s", which takes the zero imaginary part and prints nothing. `join`
+    turns a row's spellings into its template; rows with the same pattern
+    of complex cells share one.
+    """
+    if not (np.iscomplexobj(cells) and cells.imag.any()):
+        template = join([real] * cells.shape[1])
+        return [template % tuple(row) for row in cells.real.tolist()]
+    templates: dict[bytes, str] = {}
+    texts = []
+    for row, nonzero in zip(np.ascontiguousarray(cells).view(np.float64).tolist(), cells.imag != 0):
+        key = nonzero.tobytes()
+        if key not in templates:
+            templates[key] = join([pair if z else real + "%.0s" for z in nonzero.tolist()])
+        texts.append(templates[key] % tuple(row))
+    return texts
+
+
 def _text_table(table: RenderedTable, precision: int) -> str:
-    rows = table.cells.tolist()
+    cells = table.cells
+    real = _number(precision)
     if table.arrow_pair:
-        headers = [""] + [f"{table.col_labels[0]} -> {table.col_labels[1]}"]
-        body = [
-            [label] + [f"{_format_cell(row[0], precision)} -> {_format_cell(row[1], precision)}"]
-            for label, row in zip(table.row_labels, rows)
-        ]
+        headers, join = ["", f"{table.col_labels[0]} -> {table.col_labels[1]}"], " -> ".join
     else:
-        headers = [""] + list(table.col_labels)
-        body = [
-            [label] + [_format_cell(c, precision) for c in row]
-            for label, row in zip(table.row_labels, rows)
-        ]
-    widths = [len(h) for h in headers]
-    for row in body:
-        for k, cell in enumerate(row):
-            widths[k] = max(widths[k], len(cell))
-    out = [table.caption]
-    def fmt_row(cells):
-        first = cells[0].ljust(widths[0])
-        rest = [c.rjust(widths[k + 1]) for k, c in enumerate(cells[1:])]
-        return "  ".join([first] + rest).rstrip()
-    out.append(fmt_row(headers))
-    for row in body:
-        out.append(fmt_row(row))
-    return "\n".join(out)
+        headers, join = ["", *table.col_labels], "\0".join
+    texts = _row_texts(cells + 0.0, real, real + _number(precision, "+") + "j", join)
+    if cells.shape[1]:
+        body = [(label, *text.split("\0")) for label, text in zip(table.row_labels, texts)]
+    else:
+        body = [(label,) for label in table.row_labels]
+    widths = [max(map(len, column)) for column in zip(headers, *body)]
+    layout = "  ".join([f"%-{widths[0]}s"] + [f"%{w}s" for w in widths[1:]])
+    return "\n".join([table.caption] + [(layout % tuple(row)).rstrip() for row in [headers, *body]])
 
 
 def _csv_field(text: str) -> str:
@@ -137,33 +152,56 @@ def _csv_table(table: RenderedTable) -> str:
     cells = table.cells
     if np.iscomplexobj(cells) and cells.imag.any():
         headers = [""] + [f"{label}.{part}" for label in table.col_labels for part in ("re", "im")]
-        # Each cell becomes two adjacent columns: real part, imaginary part.
-        cells = np.stack((cells.real, cells.imag), axis=-1).reshape(len(table.row_labels), -1)
+        # Each cell becomes two adjacent columns, real part then imaginary
+        # part: the memory order of complex128.
+        cells = np.ascontiguousarray(cells).view(np.float64)
     else:
         headers = [""] + list(table.col_labels)
         cells = cells.real
-    out = [f"# {table.caption}", ",".join(_csv_field(h) for h in headers)]
-    for label, row in zip(table.row_labels, cells.tolist()):
-        out.append(",".join([_csv_field(label)] + [repr(c) for c in row]))
+    out = [f"# {table.caption}", ",".join(map(_csv_field, headers))]
+    out += [",".join([_csv_field(label), *map(repr, row)]) for label, row in zip(table.row_labels, cells.tolist())]
     return "\n".join(out)
 
 
-def _json_cell(x: float | complex) -> float | list[float]:
-    if isinstance(x, complex):
-        return x.real if x.imag == 0.0 else [x.real, x.imag]
-    return x
+def _json_list(items: list[str], pad: str) -> str:
+    """Encoded items laid out as json.dumps(..., indent=2) lays out a list
+    whose opening line is indented by `pad`."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
 
 
-def _json_section(section):
-    if isinstance(section, RenderedTable):
-        return {
-            "kind": "table",
-            "caption": section.caption,
-            "row_labels": list(section.row_labels),
-            "col_labels": list(section.col_labels),
-            "cells": [[_json_cell(c) for c in row] for row in section.cells.tolist()],
-        }
-    return {"kind": "lines", "caption": section.caption, "lines": list(section.lines)}
+def _json_object(members: dict, last: str, pad: str) -> str:
+    """json.dumps(members, indent=2) indented by `pad`, with the value of the
+    last member, a placeholder 0, replaced by the encoded `last`."""
+    text = json.dumps(members, indent=2)[: -len("0\n}")]
+    # The encoder escapes every newline inside a string, so each raw
+    # newline starts a line of the layout.
+    return text.replace("\n", "\n" + pad) + last + "\n" + pad + "}"
+
+
+def _json_section(section, pad: str) -> str:
+    """A section as json.dumps(..., indent=2) writes it `pad` deep. A table's
+    cells are written by hand: the stdlib encoder runs its pure-Python path
+    whenever `indent` is set, one function call per cell."""
+    if not isinstance(section, RenderedTable):
+        lines = {"kind": "lines", "caption": section.caption, "lines": list(section.lines)}
+        return json.dumps(lines, indent=2).replace("\n", "\n" + pad)
+    row_pad, cell_pad = pad + "    ", pad + "      "
+    pair = _json_list(["%r", "%r"], cell_pad)
+    rows = _row_texts(section.cells, "%r", pair, lambda spellings: _json_list(spellings, row_pad))
+    text = _json_list(rows, pad + "  ")
+    if not np.isfinite(section.cells).all():  # the encoder's spellings of non-finite floats
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    members = {
+        "kind": "table",
+        "caption": section.caption,
+        "row_labels": list(section.row_labels),
+        "col_labels": list(section.col_labels),
+        "cells": 0,
+    }
+    return _json_object(members, text, pad)
 
 
 def render(section, fmt: str = "text", precision: int = 6) -> str:
@@ -171,7 +209,7 @@ def render(section, fmt: str = "text", precision: int = 6) -> str:
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     if fmt == "json":
-        return json.dumps(_json_section(section), indent=2)
+        return _json_section(section, "")
     if isinstance(section, RenderedTable):
         return _text_table(section, precision) if fmt == "text" else _csv_table(section)
     if fmt == "csv":
@@ -184,8 +222,8 @@ def render_report(report: Report, fmt: str = "text", precision: int = 6) -> str:
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     if fmt == "json":
-        payload = {"title": report.title, "sections": [_json_section(s) for s in report.sections]}
-        return json.dumps(payload, indent=2) + "\n"
+        sections = _json_list([_json_section(s, "    ") for s in report.sections], "  ")
+        return _json_object({"title": report.title, "sections": 0}, sections, "") + "\n"
     parts = [render(s, fmt, precision) for s in report.sections]
     if fmt == "text":
         return report.title + "\n\n" + "\n\n".join(parts) + "\n"

@@ -185,23 +185,26 @@ def test_partial_trace_bell_state():
 
 
 def _partial_trace_oracle(entries, dims, keep):
-    # direct double-index summation, no einsum
-    n = dims[keep]
-    out = np.zeros((n, n), dtype=complex)
-    boxed = entries.reshape(tuple(dims) + tuple(dims))
-    other = [k for k in range(len(dims)) if k != keep]
+    # direct double-index summation, no einsum; `keep` is one factor index
+    # or an ordered tuple of them, the first the slow index
     import itertools
 
-    for i in range(n):
-        for j in range(n):
+    kept = (keep,) if isinstance(keep, int) else tuple(keep)
+    other = [k for k in range(len(dims)) if k not in kept]
+    kept_indices = list(itertools.product(*(range(dims[k]) for k in kept)))
+    out = np.zeros((len(kept_indices), len(kept_indices)), dtype=complex)
+    boxed = entries.reshape(tuple(dims) + tuple(dims))
+    for i, row_kept in enumerate(kept_indices):
+        for j, col_kept in enumerate(kept_indices):
             for idx in itertools.product(*(range(dims[k]) for k in other)):
                 row = [0] * len(dims)
                 col = [0] * len(dims)
                 for pos, k in enumerate(other):
                     row[k] = idx[pos]
                     col[k] = idx[pos]
-                row[keep] = i
-                col[keep] = j
+                for pos, k in enumerate(kept):
+                    row[k] = row_kept[pos]
+                    col[k] = col_kept[pos]
                 out[i, j] += boxed[tuple(row) + tuple(col)]
     return out
 
@@ -226,6 +229,33 @@ def test_partial_trace_of_more_factors_than_letters():
     for keep in (0, 27):
         assert cheb_norm(partial_trace(m, comp, keep).entries - _partial_trace_oracle(m.entries, comp.dims, keep)) < 1e-12
     assert cheb_norm(partial_trace(m, comp, tuple(range(28))).entries - m.entries) == 0.0
+
+
+def test_partial_trace_keeps_every_other_of_27_factors():
+    # 27 runs of one factor each, more than there are letters for einsum
+    # axes; the kept factors come back in the order keep names them.
+    rng = np.random.default_rng(27)
+    dims = (2, 2, 3, 2) + (1,) * 23
+    comp = CompositeSpace(tuple(HilbertSpace(d, f"f{k}") for k, d in enumerate(dims)))
+    m = Op(comp.space, rand_density(rng, comp.dim))
+    for keep in (tuple(range(0, 27, 2)), tuple(range(26, -1, -2))):
+        got = partial_trace(m, comp, keep)
+        assert cheb_norm(got.entries - _partial_trace_oracle(m.entries, dims, keep)) < 1e-12
+
+
+def test_partial_trace_past_numpys_einsum_limits_is_a_named_error():
+    # The operator's view has a row and a column axis per run, and the
+    # einsum a label per axis, shared by the two axes of a traced-out run:
+    # 32 runs fit numpy's 64 axes and 52 labels; 33 runs need 66 axes, and
+    # 27 runs all kept need 54 labels.
+    def trace(n, keep):
+        comp = CompositeSpace(tuple(HilbertSpace(1, f"u{k}") for k in range(n)))
+        return partial_trace(Op(comp.space, np.array([[0.5]])), comp, keep)
+
+    assert trace(32, tuple(range(0, 32, 2))).entries.tolist() == [[0.5]]
+    for n, keep, runs in ((33, tuple(range(0, 33, 2)), "33 runs, 17"), (27, tuple(range(26, -1, -1)), "27 runs, 27")):
+        with pytest.raises(ValueError, match=f"{runs} of them kept; numpy's einsum takes at most 64 axes and 52 labels"):
+            trace(n, keep)
 
 
 def test_partial_trace_keeps_an_ordered_tuple_of_factors():
