@@ -6,172 +6,21 @@ the probability calculus (joint tables, conditioning, collapse, Luder
 decoherence, composite lifting and reduction) sit observer-weighting
 schemes and lifetime distributions. Scenario files and shipped presets
 feed the same machinery through the qprob command line tool.
+
+Each library module declares its exports in its own `__all__`; the
+package re-exports exactly those names, so a name is declared once.
 """
 
-from .engine import (
-    HERMITIAN_TOL,
-    PSD_TOL,
-    TRACE_TOL,
-    ZERO_PROBABILITY_THRESHOLD,
-    BranchDecomposition,
-    CollapseResult,
-    CorrelationReport,
-    JointProbabilityMatrix,
-    ProbabilityOperator,
-    born,
-    branch_decompose,
-    collapse,
-    conditional,
-    correlation_check,
-    heisenberg_transport,
-    joint_matrix,
-    luder,
-    reduce_composite,
-)
-from .errors import (
-    IncompatibleCommandError,
-    QprobError,
-    ScenarioError,
-    ScenarioParseError,
-    ScenarioValidationError,
-    SpaceMismatchError,
-    StructureError,
-    UnknownPresetError,
-    ZeroProbabilityError,
-)
-from .hilbert import (
-    CompositeSpace,
-    HilbertSpace,
-    Op,
-    StructureReport,
-    Vec,
-    cheb_norm,
-    commutator,
-    partial_trace,
-    structure_check,
-    tensor,
-)
-from .lattice import (
-    ClassicalEventuality,
-    ClassicalModel,
-    Eventuality,
-)
-from .observables import (
-    Observable,
-    ObservableValidation,
-    QuantitativeObservable,
-    build_operator,
-    conjoin,
-    expectation,
-    lift,
-    lift_eventuality,
-    spectral_observable,
-    validate_observable,
-)
-from .scenario import (
-    PRESET_NAMES,
-    Scenario,
-    load_file,
-    load_preset,
-    load_scenario,
-    schema_document,
-)
-from .weighting import (
-    LifetimeDistribution,
-    LifetimeProfile,
-    LifetimeSegment,
-    NetTable,
-    ObserverModel,
-    Scheme,
-    entropy_capacity,
-    lifetime_distribution,
-    net_table,
-    perception_rate,
-    shannon_entropy,
-    weights_entropic,
-    weights_proper,
-    weights_weak,
-)
+from . import engine, errors, hilbert, lattice, observables, scenario, weighting
+from .engine import *
+from .errors import *
+from .hilbert import *
+from .lattice import *
+from .observables import *
+from .scenario import *
+from .weighting import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # spaces and operators
-    "HilbertSpace",
-    "CompositeSpace",
-    "Vec",
-    "Op",
-    "tensor",
-    "partial_trace",
-    "commutator",
-    "cheb_norm",
-    "structure_check",
-    "StructureReport",
-    # eventualities
-    "Eventuality",
-    "ClassicalModel",
-    "ClassicalEventuality",
-    # observables
-    "Observable",
-    "QuantitativeObservable",
-    "ObservableValidation",
-    "validate_observable",
-    "build_operator",
-    "expectation",
-    "spectral_observable",
-    "lift",
-    "lift_eventuality",
-    "conjoin",
-    # probability engine
-    "ProbabilityOperator",
-    "born",
-    "collapse",
-    "CollapseResult",
-    "luder",
-    "joint_matrix",
-    "JointProbabilityMatrix",
-    "conditional",
-    "branch_decompose",
-    "BranchDecomposition",
-    "reduce_composite",
-    "heisenberg_transport",
-    "correlation_check",
-    "CorrelationReport",
-    "HERMITIAN_TOL",
-    "TRACE_TOL",
-    "PSD_TOL",
-    "ZERO_PROBABILITY_THRESHOLD",
-    # weighting
-    "Scheme",
-    "ObserverModel",
-    "NetTable",
-    "net_table",
-    "weights_weak",
-    "weights_proper",
-    "weights_entropic",
-    "perception_rate",
-    "entropy_capacity",
-    "shannon_entropy",
-    "LifetimeSegment",
-    "LifetimeProfile",
-    "LifetimeDistribution",
-    "lifetime_distribution",
-    # scenarios
-    "Scenario",
-    "load_scenario",
-    "load_file",
-    "load_preset",
-    "schema_document",
-    "PRESET_NAMES",
-    # errors
-    "QprobError",
-    "SpaceMismatchError",
-    "StructureError",
-    "ZeroProbabilityError",
-    "ScenarioError",
-    "ScenarioParseError",
-    "ScenarioValidationError",
-    "UnknownPresetError",
-    "IncompatibleCommandError",
-]
+__all__ = ["__version__", *hilbert.__all__, *lattice.__all__, *observables.__all__, *engine.__all__,
+           *weighting.__all__, *scenario.__all__, *errors.__all__]

@@ -22,9 +22,8 @@ import numpy as np
 
 from . import __version__
 from .engine import (
-    _INVARIANTS,
+    CorrelationReport,
     JointProbabilityMatrix,
-    _correlation_report,
     born,
     branch_decompose,
     collapse,
@@ -59,6 +58,10 @@ class Options:
     rows: str | None = None
     cols: str | None = None
 
+
+# The name of each probability-operator invariant in validation reports,
+# by report kind.
+_INVARIANTS = {"hermitian": "hermitian", "unit-trace": "unit-trace", "psd": "positive semidefinite"}
 
 # --log-base spellings and the base each selects.
 _LOG_BASES = {"2": 2, "e": "e"}
@@ -254,7 +257,7 @@ def _correlation_section(scn: Scenario, opts: Options, joint: tuple | None = Non
         return TextLines("correlation check", ("not applicable: needs an observable on each factor",))
     rows, cols = rows[0], cols[0]
     jm = joint[2] if joint is not None and joint[:2] == (rows, cols) else _joint(scn, rows, cols, opts)
-    report = _correlation_report(jm, opts.tol)
+    report = CorrelationReport.of(jm, opts.tol)
     lines = [
         f"observables: '{rows.id}' ({report.row_channels} channels) vs "
         f"'{cols.id}' ({report.col_channels} channels)",

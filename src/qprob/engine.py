@@ -56,17 +56,13 @@ __all__ = [
     "correlation_check",
 ]
 
-# Invariant tolerances for a probability operator.
+# The invariant tolerance, under the name of each probability-operator check.
 HERMITIAN_TOL = INVARIANT_TOL
 TRACE_TOL = INVARIANT_TOL
 PSD_TOL = INVARIANT_TOL
 
 # Below this, an eventuality cannot be conditioned on.
 ZERO_PROBABILITY_THRESHOLD = 1e-12
-
-# The name of each probability-operator invariant in validation reports,
-# by report kind.
-_INVARIANTS = {"hermitian": "hermitian", "unit-trace": "unit-trace", "psd": "positive semidefinite"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,6 +432,30 @@ class CorrelationReport:
     skipped_rows: tuple[int, ...]
     tol: float
 
+    @classmethod
+    def of(
+        cls,
+        jm: JointProbabilityMatrix,
+        tol: float,
+        threshold: float = ZERO_PROBABILITY_THRESHOLD,
+    ) -> "CorrelationReport":
+        """The report read off a joint table already computed; rows whose
+        marginal is at or below the zero threshold are skipped."""
+        n, k = jm.values.shape
+        off_mass = float(jm.values.sum() - np.trace(jm.values[: min(n, k), : min(n, k)]))
+        marginals = jm.row_marginals()
+        worst = 0.0
+        skipped: list[int] = []
+        for i in range(n):
+            if marginals[i] <= threshold:
+                skipped.append(i)
+                continue
+            row = jm.values[i] / marginals[i]
+            for j in range(k):
+                want = 1.0 if i == j else 0.0
+                worst = max(worst, abs(row[j] - want))
+        return cls(n, k, off_mass, worst, tuple(skipped), tol)
+
     @property
     def counts_match(self) -> bool:
         return self.row_channels == self.col_channels
@@ -464,27 +484,4 @@ def correlation_check(
     conditional table from the identity. Rows whose marginal is at or
     below the zero threshold are skipped and reported."""
     jm = joint_matrix(prob, rows, cols, tol=max(tol, INVARIANT_TOL))
-    return _correlation_report(jm, tol, threshold)
-
-
-def _correlation_report(
-    jm: JointProbabilityMatrix,
-    tol: float,
-    threshold: float = ZERO_PROBABILITY_THRESHOLD,
-) -> CorrelationReport:
-    """The arithmetic of `correlation_check`, on a joint table already
-    computed."""
-    n, k = jm.values.shape
-    off_mass = float(jm.values.sum() - np.trace(jm.values[: min(n, k), : min(n, k)]))
-    marginals = jm.row_marginals()
-    worst = 0.0
-    skipped: list[int] = []
-    for i in range(n):
-        if marginals[i] <= threshold:
-            skipped.append(i)
-            continue
-        row = jm.values[i] / marginals[i]
-        for j in range(k):
-            want = 1.0 if i == j else 0.0
-            worst = max(worst, abs(row[j] - want))
-    return CorrelationReport(n, k, off_mass, worst, tuple(skipped), tol)
+    return CorrelationReport.of(jm, tol, threshold)

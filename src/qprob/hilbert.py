@@ -106,9 +106,6 @@ class Vec:
         _require_same_space(self.space, other.space, "outer product")
         return Op(self.space, np.outer(self.components, other.components.conj()))
 
-    def is_unit(self, tol: float = INVARIANT_TOL) -> bool:
-        return abs(self.norm() ** 2 - 1.0) <= tol
-
     def require_unit(self, tol: float = INVARIANT_TOL) -> "Vec":
         residual = abs(self.norm() ** 2 - 1.0)
         StructureReport("unit-norm", residual, tol).require("state vector must have unit squared norm")

@@ -19,15 +19,11 @@ from .errors import SpaceMismatchError
 from .hilbert import INVARIANT_TOL, HilbertSpace, Op, StructureReport, Vec, cheb_norm, structure_check
 
 __all__ = [
-    "RANK_TOL",
     "CLASSICAL_SUM_TOL",
     "Eventuality",
     "ClassicalModel",
     "ClassicalEventuality",
 ]
-
-# Default threshold below which a residual direction counts as rank zero.
-RANK_TOL = INVARIANT_TOL
 
 # A classical measure must total 1 within this.
 CLASSICAL_SUM_TOL = 1e-12
@@ -101,7 +97,7 @@ class Eventuality:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_span(cls, space: HilbertSpace, vectors, tol: float = RANK_TOL) -> "Eventuality":
+    def from_span(cls, space: HilbertSpace, vectors, tol: float = INVARIANT_TOL) -> "Eventuality":
         """Subspace spanned by the given vectors. Dependent directions
         collapse; near-zero residuals (norm < tol) are dropped. An empty
         span is the null subspace. A vector whose norm overflows a float
@@ -115,7 +111,7 @@ class Eventuality:
         return cls(space, _pivoted_orthonormalize(cols, tol))
 
     @classmethod
-    def from_projector(cls, projector: Op, tol: float = RANK_TOL) -> "Eventuality":
+    def from_projector(cls, projector: Op, tol: float = INVARIANT_TOL) -> "Eventuality":
         """Subspace fixed by a projector. The matrix must pass the
         projector structure check at tol; the basis is the eigenvalue-one
         eigenspace."""
@@ -161,7 +157,7 @@ class Eventuality:
 
     # -- lattice operations --------------------------------------------
 
-    def meet(self, other: "Eventuality", tol: float = RANK_TOL) -> "Eventuality":
+    def meet(self, other: "Eventuality", tol: float = INVARIANT_TOL) -> "Eventuality":
         """Subspace intersection.
 
         A vector lies in both subspaces iff it is annihilated by
@@ -179,7 +175,7 @@ class Eventuality:
         w, v = np.linalg.eigh(h)
         return Eventuality(self.space, v[:, w <= tol])
 
-    def join(self, other: "Eventuality", tol: float = RANK_TOL) -> "Eventuality":
+    def join(self, other: "Eventuality", tol: float = INVARIANT_TOL) -> "Eventuality":
         """Span of the union (the smallest subspace containing both)."""
         self._require_same(other)
         cols = [self.basis_matrix[:, k] for k in range(self.rank)]
@@ -188,16 +184,16 @@ class Eventuality:
             return Eventuality.null(self.space)
         return Eventuality(self.space, _pivoted_orthonormalize(cols, tol))
 
-    def orthocomplement(self, tol: float = RANK_TOL) -> "Eventuality":
+    def orthocomplement(self, tol: float = INVARIANT_TOL) -> "Eventuality":
         eye = Op.identity(self.space)
         return Eventuality.from_projector(eye - self.projector, tol)
 
-    def leq(self, other: "Eventuality", tol: float = RANK_TOL) -> bool:
+    def leq(self, other: "Eventuality", tol: float = INVARIANT_TOL) -> bool:
         """Implication order: self <= other iff P2 P1 = P1."""
         self._require_same(other)
         return cheb_norm(other.projector.entries @ self.projector.entries - self.projector.entries) <= tol
 
-    def equals(self, other: "Eventuality", tol: float = RANK_TOL) -> bool:
+    def equals(self, other: "Eventuality", tol: float = INVARIANT_TOL) -> bool:
         """Same subspace, i.e. projectors agree within tol."""
         self._require_same(other)
         return cheb_norm(self.projector.entries - other.projector.entries) <= tol

@@ -20,7 +20,6 @@ from .hilbert import INVARIANT_TOL, CompositeSpace, HilbertSpace, Op, StructureR
 from .lattice import Eventuality
 
 __all__ = [
-    "ORTHOGONALITY_TOL",
     "Observable",
     "QuantitativeObservable",
     "ObservableValidation",
@@ -32,9 +31,6 @@ __all__ = [
     "lift",
     "conjoin",
 ]
-
-# Default tolerance for orthogonality/completeness residuals.
-ORTHOGONALITY_TOL = INVARIANT_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +95,7 @@ class ObservableValidation:
         return self.passed
 
 
-def validate_observable(obs: Observable, tol: float = ORTHOGONALITY_TOL) -> ObservableValidation:
+def validate_observable(obs: Observable, tol: float = INVARIANT_TOL) -> ObservableValidation:
     """Report how far an observable is from being a complete, mutually
     exclusive family: max pairwise product residual (with the offending
     pair), completeness residual |sum of projectors - I|, and any empty
@@ -224,7 +220,7 @@ def _require_commuting(a: Observable, b: Observable, tol: float) -> None:
             report.require(f"channels {la!r} and {lb!r} do not commute")
 
 
-def conjoin(a: Observable, b: Observable, tol: float = ORTHOGONALITY_TOL) -> Observable:
+def conjoin(a: Observable, b: Observable, tol: float = INVARIANT_TOL) -> Observable:
     """Combine two commuting observables on one space into the observable
     of channel pairs, channel (i, j) being meet(a_i, b_j). Rejects
     non-commuting channel pairs, naming the offending pair."""

@@ -140,6 +140,10 @@ def _parse(text: str, origin: str) -> dict:
         raise ScenarioParseError(
             f"{origin}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        # The decoder recurses once per nesting level, so a document nested
+        # deeper than the interpreter's recursion limit cannot be read.
+        raise ScenarioParseError(f"{origin}: parse error: nesting too deep to read") from None
 
 
 # The numeric payloads, by key: nesting depth (1: numbers, 2: [re, im]

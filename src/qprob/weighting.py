@@ -27,7 +27,6 @@ from .hilbert import INVARIANT_TOL, StructureReport
 from .observables import Observable
 
 __all__ = [
-    "GROSS_SUM_TOL",
     "Scheme",
     "ObserverModel",
     "NetTable",
@@ -43,9 +42,6 @@ __all__ = [
     "perception_rate",
     "lifetime_distribution",
 ]
-
-# A per-observer gross vector must total 1 within this.
-GROSS_SUM_TOL = INVARIANT_TOL
 
 SCHEME_VARIANTS = ("weak", "proper", "entropic")
 
@@ -237,7 +233,7 @@ class NetTable:
 def net_table(scheme: Scheme, observers, gross) -> NetTable:
     """Split gross per-observer channel probabilities into net shares.
 
-    Every gross vector must total 1 within GROSS_SUM_TOL. The net table totals 1
+    Every gross vector must total 1 within INVARIANT_TOL. The net table totals 1
     because the weights do.
     """
     observers = tuple(observers)
@@ -245,7 +241,7 @@ def net_table(scheme: Scheme, observers, gross) -> NetTable:
     if len(observers) != len(gross):
         raise ValueError(f"{len(observers)} observers but {len(gross)} gross vectors")
     for o, g in zip(observers, gross):
-        total = StructureReport("total", abs(float(g.sum()) - 1.0), GROSS_SUM_TOL)
+        total = StructureReport("total", abs(float(g.sum()) - 1.0), INVARIANT_TOL)
         total.require(f"gross probabilities for {o.id!r} must total 1", ValueError)
     normalizer: float | None = None
     if scheme.variant == "weak":

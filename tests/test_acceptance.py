@@ -443,6 +443,7 @@ MALFORMED_NEEDLES = {
     "19_overflowing_channel_vector.json": "channel 'up': spanning vector norm overflows a float",
     "20_ragged_channel_vectors.json": "channel 'up': vectors have different lengths (2 and 1)",
     "21_ragged_density_rows.json": "state matrix: rows have different lengths",
+    "22_deep_nesting.json": "parse error: nesting too deep to read",
 }
 
 
@@ -499,4 +500,4 @@ def test_criterion_10_determinism_and_rejection(capsys):
         needle = MALFORMED_NEEDLES.get(path.name, "")
         if needle and needle not in err:
             failures.append(f"{path.name}: stderr does not name the violation ({needle!r})")
-    report(10, "byte-determinism across presets/commands/formats; 21 malformed files rejected", failures)
+    report(10, "byte-determinism across presets/commands/formats; 22 malformed files rejected", failures)

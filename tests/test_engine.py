@@ -3,6 +3,7 @@ import pytest
 
 from qprob import (
     CompositeSpace,
+    CorrelationReport,
     Eventuality,
     HilbertSpace,
     Observable,
@@ -381,6 +382,17 @@ def test_correlation_check_skips_zero_rows():
     report = correlation_check(state, rows, cols)
     assert report.skipped_rows == (1,)
     assert report.adequately_correlated
+
+
+def test_correlation_report_of_a_joint_table_matches_correlation_check():
+    detector = basis_observable(HilbertSpace(2, "detector"), ("up", "down"))
+    cat = basis_observable(HilbertSpace(2, "cat"), ("awake", "asleep"))
+    jm = joint_matrix(CAT_STATE, detector, cat, comp=CAT_COMP)
+    lifted = (lift(detector, CAT_COMP), lift(cat, CAT_COMP))
+    for tol, threshold in ((1e-10, 1e-12), (0.2, 0.5)):
+        report = CorrelationReport.of(jm, tol, threshold)
+        assert report == correlation_check(CAT_STATE, *lifted, tol=tol, threshold=threshold)
+    assert CorrelationReport.of(jm, 0.2, 0.5).skipped_rows == (0, 1)  # both marginals are 0.5
 
 
 def test_spectral_observable_feeds_joint():

@@ -146,9 +146,13 @@ MALFORMED_EXPECTATIONS = [
     ("19_overflowing_channel_vector.json", "channel 'up': spanning vector norm overflows a float"),
     ("20_ragged_channel_vectors.json", "channel 'up': vectors have different lengths (2 and 1)"),
     ("21_ragged_density_rows.json", "state matrix: rows have different lengths (4 and 3)"),
+    ("22_deep_nesting.json", "22_deep_nesting.json: parse error: nesting too deep to read"),
 ]
-# Numbers a float cannot hold are refused as read, not as invariant violations.
-PARSE_FAILURES = {"16_nan_duration.json", "17_overflow_lifetime.json", "18_huge_integer_duration.json"}
+# Numbers a float cannot hold, and nesting the decoder cannot follow, are
+# refused as read, not as invariant violations.
+PARSE_FAILURES = {
+    "16_nan_duration.json", "17_overflow_lifetime.json", "18_huge_integer_duration.json", "22_deep_nesting.json",
+}
 
 
 @pytest.mark.parametrize("filename,needle", MALFORMED_EXPECTATIONS)

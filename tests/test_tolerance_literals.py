@@ -93,7 +93,7 @@ def test_template_pattern_catches_spellings():
         'f"orthogonality residual {check.orthogonality_residual:.3e} exceeds {check.tol:.0e}"',
         'f"residual {report.residual:.3e} exceeds {report.tol:.0e}"',
         'f"must total 1: residual {residual:.3e} "',
-        'f"exceeds {GROSS_SUM_TOL:.0e}"',
+        'f"exceeds {INVARIANT_TOL:.0e}"',
     ):
         assert TEMPLATE.search(text), text
     for text in (
