@@ -2,7 +2,8 @@
 
 A scenario is a json document validated in three stages: syntax (parse
 errors report the position), structure (against the shipped json schema,
-reporting the offending path), and semantics (numeric invariants such as
+which the loader reads itself; jsonschema only reports the offending path
+of a document it refuses), and semantics (numeric invariants such as
 unit trace, channel orthogonality, and reference resolution, each named
 with its residual). Presets ship as ordinary scenario files inside the
 package; nothing is hard-coded.
@@ -12,14 +13,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from .engine import ProbabilityOperator
 from .errors import (
@@ -114,6 +115,17 @@ class Scenario:
 
 
 def _parse(text: str, origin: str) -> dict:
+    # Plain json.loads reads every number at C speed. When it fails, or
+    # reads a number that is not finite, the hooked reading decides, which
+    # refuses the first offending literal in the text with its own message.
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError):  # json.JSONDecodeError is a ValueError
+        return _parse_hooked(text, origin)
+    return doc if _finite(doc) else _parse_hooked(text, origin)
+
+
+def _parse_hooked(text: str, origin: str) -> dict:
     # json accepts NaN and +-Infinity, and reads an overflowing literal such
     # as 1e999 as inf; no scenario quantity may be non-finite.
     def non_finite(literal: str):
@@ -146,14 +158,43 @@ def _parse(text: str, origin: str) -> dict:
         raise ScenarioParseError(f"{origin}: parse error: nesting too deep to read") from None
 
 
-# The numeric payloads, by key: nesting depth (1: numbers, 2: [re, im]
-# pairs, 3: lists of pairs) and the one-entry stand-in jsonschema checks in
-# their place. They mirror the schema's payload subschemas, which
-# tests/test_schema_payloads.py pins.
-_STATE_PAYLOADS = {"weights": 1, "vector": 2, "matrix": 3}
-_CHANNEL_PAYLOADS = {"vectors": 3}
-_STAND_INS = {1: [0.0], 2: [[0.0, 0.0]], 3: [[[0.0, 0.0]]]}
 _NUMBER_TYPES = {int, float}  # what json reads a number as; bool is neither
+
+
+def _finite(doc) -> bool:
+    """Whether every number in `doc` is surely finite. The numbers of a list,
+    or of a list of lists, are summed at C speed; a sum that overflows, or
+    an integer past the float range, answers False as inf and nan do."""
+    todo = [doc]
+    while todo:
+        node = todo.pop()
+        if type(node) is dict:
+            todo.extend(node.values())
+        elif type(node) is list:
+            for numbers in (node, chain.from_iterable(node)):
+                try:
+                    if not math.isfinite(sum(numbers)):
+                        return False
+                    break
+                except TypeError:  # not all numbers
+                    continue
+                except OverflowError:
+                    return False
+            else:
+                todo.extend(node)
+        elif type(node) is float and not math.isfinite(node):
+            return False
+    return True
+
+
+# The numeric payload subschemas and their nesting depth (1: numbers, 2:
+# [re, im] pairs, 3: lists of pairs). The acceptor checks these shapes with
+# _well_formed; tests/test_schema_payloads.py pins them in the schema.
+_PAYLOADS = (
+    ({"type": "array", "minItems": 1, "items": {"type": "number"}}, 1),
+    ({"$ref": "#/$defs/vector"}, 2),
+    ({"type": "array", "minItems": 1, "items": {"$ref": "#/$defs/vector"}}, 3),
+)
 
 
 def _well_formed(node, depth: int) -> bool:
@@ -173,52 +214,160 @@ def _well_formed(node, depth: int) -> bool:
     )
 
 
-def _stand_ins(node, payloads: dict[str, int]):
-    """`node` with its well-formed payloads replaced by stand-ins, copied
-    only if it has one; None when one of them is malformed."""
-    keys = payloads.keys() & node.keys() if type(node) is dict else ()
-    if not keys:
-        return node
-    copy = dict(node)
-    for key in keys:
-        if not _well_formed(node[key], payloads[key]):
-            return None
-        copy[key] = _STAND_INS[payloads[key]]
-    return copy
+@cache
+def _schema() -> tuple[dict, int]:
+    """The schema the acceptor reads, parsed once per process and never
+    handed out, and its nesting depth: the longest chain of subschemas the
+    acceptor follows."""
+    schema = schema_document()
+    depth, level = 0, [schema]
+    while level:
+        depth += 1
+        children = chain.from_iterable(node.values() if type(node) is dict else node for node in level)
+        level = [child for child in children if type(child) in (dict, list)]
+    return schema, depth
 
 
-def _skeleton(doc) -> dict | None:
-    """A shallow copy of `doc` with every numeric payload replaced by its
-    stand-in, which the schema accepts exactly when it accepts `doc`. None
-    when a payload is malformed or `doc` is no object; a null state or
-    channel counts as malformed, since the schema refuses it either way."""
-    if type(doc) is not dict:
+def _all(pairs, budget: int) -> bool | None:
+    """The verdicts on (node, subschema) pairs, joined: False if one is
+    False, else None if one is None, else True."""
+    result = True
+    for node, schema in pairs:
+        verdict = _verdict(node, schema, budget)
+        if verdict is False:
+            return False
+        if verdict is None:
+            result = None
+    return result
+
+
+def _is_one_of(node, rule: list, schema: dict, budget: int) -> bool | None:
+    verdicts = [_verdict(node, branch, budget) for branch in rule]
+    if verdicts.count(True) == 1 and verdicts.count(False) == len(verdicts) - 1:
+        return True
+    return False if verdicts.count(True) > 1 or verdicts.count(False) == len(verdicts) else None
+
+
+def _is_if(node, rule, schema: dict, budget: int) -> bool | None:
+    condition = _verdict(node, rule, budget)
+    if condition is None:
         return None
-    skeleton = dict(doc)
-    if "state" in doc:
-        skeleton["state"] = _stand_ins(doc["state"], _STATE_PAYLOADS)
-        if skeleton["state"] is None:
-            return None
-    if type(doc.get("observables")) is list:
-        skeleton["observables"] = []
-        for item in doc["observables"]:
-            if type(item) is dict and type(item.get("channels")) is list:
-                channels = [_stand_ins(ch, _CHANNEL_PAYLOADS) for ch in item["channels"]]
-                if any(ch is None for ch in channels):
-                    return None
-                item = dict(item, channels=channels)
-            skeleton["observables"].append(item)
-    return skeleton
+    return _verdict(node, schema.get("then" if condition else "else", True), budget)
+
+
+def _is_ref(node, rule: str, schema: dict, budget: int) -> bool | None:
+    if not rule.startswith("#/") or "~" in rule:
+        return None
+    target = _schema()[0]
+    for part in rule[2:].split("/"):
+        target = target[part]
+    return _verdict(node, target, budget)
+
+
+_TYPES = {"object": (dict,), "array": (list,), "string": (str,), "number": (int, float), "integer": (int,)}
+
+
+def _is_type(node, rule: str, schema: dict, budget: int) -> bool | None:
+    kinds = _TYPES.get(rule) if type(rule) is str else None
+    if kinds is None:
+        return None
+    if type(node) in kinds:
+        return True
+    # jsonschema counts 2.0 as an integer; that reading is left to it.
+    return None if rule == "integer" and type(node) is float and node.is_integer() else False
+
+
+def _is_among(node, values: list) -> bool | None:
+    if any(type(v) is type(node) and v == node for v in values):
+        return True
+    # 2.0 == 2 and True == 1 in Python; jsonschema decides such a match.
+    return None if any(v == node for v in values) else False
+
+
+def _is_unique(node: list) -> bool | None:
+    if not all(type(item) is str for item in node):
+        return None
+    return len(set(node)) == len(node)
+
+
+# keyword -> its check of `node`, given the keyword's value, the whole
+# subschema and the depth budget left; each returns True, False or None
+# (undecided) as _verdict does.
+_KEYWORDS = {
+    "$ref": _is_ref,
+    "type": _is_type,
+    "required": lambda node, rule, schema, budget: type(node) is not dict or all(k in node for k in rule),
+    "properties": lambda node, rule, schema, budget: type(node) is not dict or _all(
+        [(node[k], sub) for k, sub in rule.items() if k in node], budget
+    ),
+    "additionalProperties": lambda node, rule, schema, budget: type(node) is not dict or _all(
+        [(v, rule) for k, v in node.items() if k not in schema.get("properties", ())], budget
+    ),
+    "prefixItems": lambda node, rule, schema, budget: type(node) is not list or _all(zip(node, rule), budget),
+    "items": lambda node, rule, schema, budget: type(node) is not list or _all(
+        zip(node[len(schema.get("prefixItems", ())):], repeat(rule)), budget
+    ),
+    "minItems": lambda node, rule, schema, budget: type(node) is not list or len(node) >= rule,
+    "maxItems": lambda node, rule, schema, budget: type(node) is not list or len(node) <= rule,
+    "uniqueItems": lambda node, rule, schema, budget: type(node) is not list or not rule or _is_unique(node),
+    "minimum": lambda node, rule, schema, budget: type(node) not in _NUMBER_TYPES or node >= rule,
+    "exclusiveMinimum": lambda node, rule, schema, budget: type(node) not in _NUMBER_TYPES or node > rule,
+    "maximum": lambda node, rule, schema, budget: type(node) not in _NUMBER_TYPES or node <= rule,
+    "enum": lambda node, rule, schema, budget: _is_among(node, rule),
+    "const": lambda node, rule, schema, budget: _is_among(node, [rule]),
+    "pattern": lambda node, rule, schema, budget: type(node) is not str or re.search(rule, node) is not None,
+    "oneOf": _is_one_of,
+    "allOf": lambda node, rule, schema, budget: _all(zip(repeat(node), rule), budget),
+    "if": _is_if,
+}
+# Keywords that assert nothing by themselves: annotations, definitions and
+# the branches that "if" picks from.
+_PASSIVE = frozenset({"$schema", "$id", "$defs", "title", "description", "then", "else"})
+_KNOWN = _KEYWORDS.keys() | _PASSIVE
+
+
+def _verdict(node, schema, budget: int) -> bool | None:
+    """Whether `schema` accepts `node`, as jsonschema would decide it: True
+    or False, or None when the keywords above cannot tell (a keyword they do
+    not know, a value jsonschema reads differently from Python, or a chain
+    of subschemas longer than `budget`)."""
+    if type(schema) is bool:
+        return schema
+    if budget == 0 or not schema.keys() <= _KNOWN:
+        return None
+    for shape, depth in _PAYLOADS:
+        if schema == shape:
+            return _well_formed(node, depth)
+    result = True
+    for key, rule in schema.items():
+        if key not in _PASSIVE:
+            verdict = _KEYWORDS[key](node, rule, schema, budget - 1)
+            if verdict is False:
+                return False
+            if verdict is None:
+                result = None
+    return result
+
+
+def _accepts(doc) -> bool:
+    """Whether the schema surely accepts `doc`, decided without jsonschema."""
+    schema, depth = _schema()
+    return _verdict(doc, schema, depth) is True
 
 
 def _validate_structure(doc: dict, origin: str) -> None:
-    validator = Draft202012Validator(schema_document())
-    skeleton = _skeleton(doc)
-    if skeleton is not None and validator.is_valid(skeleton):
+    if _accepts(doc):
         return
-    # Refusals come from the full document, so they name the node and
-    # quote the value the user wrote.
-    error = best_match(validator.iter_errors(doc))
+    # Only a document the acceptor refuses pays for jsonschema. Refusals
+    # name the node and quote the value the user wrote.
+    from jsonschema import Draft202012Validator
+    from jsonschema.exceptions import best_match
+
+    try:
+        error = best_match(Draft202012Validator(_schema()[0]).iter_errors(doc))
+    except RecursionError:
+        # Quoting a value nested about as deep as the recursion limit fails.
+        raise ScenarioValidationError(f"{origin}: schema violation: value nested too deeply to check") from None
     if error is not None:
         where = error.json_path if error.json_path != "$" else "document root"
         raise ScenarioValidationError(f"{origin}: schema violation at {where}: {error.message}", error.json_path)

@@ -1,5 +1,7 @@
 """Shared random generators for the test suite. Everything is seeded."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from qprob import Eventuality, HilbertSpace, Op, ProbabilityOperator, Vec
@@ -40,3 +42,12 @@ def rand_subspace(rng: np.random.Generator, space: HilbertSpace, rank: int) -> E
 
 def rand_unitary_op(rng: np.random.Generator, space: HilbertSpace) -> Op:
     return Op(space, rand_unitary(rng, space.dim))
+
+
+def on_fresh_stack(fn, *args):
+    """fn(*args) on a new thread, whose stack starts out about as empty as
+    that of a `python -m qprob` process. How deeply a document may nest
+    before the decoder or jsonschema gives up depends on the frames beneath
+    the call, and a test runner adds some thirty."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn, *args).result()

@@ -16,6 +16,9 @@ from qprob import (
     load_scenario,
     schema_document,
 )
+from qprob import scenario
+from qprob.cli import main
+from tests.helpers import on_fresh_stack
 
 MALFORMED = Path(__file__).parent / "data" / "malformed"
 
@@ -24,6 +27,14 @@ def test_schema_document_shape():
     doc = schema_document()
     assert doc["$schema"].startswith("https://json-schema.org/draft/2020-12")
     assert "state" in doc["properties"]
+
+
+def test_schema_document_is_a_fresh_copy():
+    # The loader reads its own copy, parsed once; callers may change theirs.
+    doc = schema_document()
+    doc["properties"].clear()
+    assert schema_document()["properties"]
+    assert load_preset("cat-master").name == "cat-master"
 
 
 def test_every_preset_loads():
@@ -147,6 +158,7 @@ MALFORMED_EXPECTATIONS = [
     ("20_ragged_channel_vectors.json", "channel 'up': vectors have different lengths (2 and 1)"),
     ("21_ragged_density_rows.json", "state matrix: rows have different lengths (4 and 3)"),
     ("22_deep_nesting.json", "22_deep_nesting.json: parse error: nesting too deep to read"),
+    ("23_deep_payload.json", "23_deep_payload.json: schema violation: value nested too deeply to check"),
 ]
 # Numbers a float cannot hold, and nesting the decoder cannot follow, are
 # refused as read, not as invariant violations.
@@ -159,7 +171,7 @@ PARSE_FAILURES = {
 def test_malformed_files_name_the_violation(filename, needle):
     error = ScenarioParseError if filename in PARSE_FAILURES else ScenarioValidationError
     with pytest.raises(error) as err:
-        load_file(MALFORMED / filename)
+        on_fresh_stack(load_file, MALFORMED / filename)
     assert needle in str(err.value)
 
 
@@ -177,6 +189,75 @@ def test_validation_errors_carry_the_json_path(filename, json_path):
     with pytest.raises(ScenarioValidationError) as err:
         load_file(MALFORMED / filename)
     assert err.value.json_path == json_path
+
+
+# Numbers refused as read. The loader reads with plain json.loads and, on a
+# failure or a non-finite number, reads again through the parse hooks, so
+# the first offending literal in the text still wins over any later
+# problem, with the message and exit status it had when every number went
+# through a hook.
+PRESETS_DIR = Path(__file__).resolve().parent.parent / "src" / "qprob" / "presets"
+SOURCE_TEXTS = {
+    "stern-gerlach": (PRESETS_DIR / "stern-gerlach.json").read_text(encoding="utf-8"),
+    "midlife": (Path(__file__).resolve().parent.parent / "scenarios" / "midlife.json").read_text(encoding="utf-8"),
+}
+DIGITS = "7" * 5000  # past the interpreter's 4,300-digit limit
+NON_FINITE = "non-finite number {} is not allowed"
+TOO_LONG = "integer literal of 5000 digits is too long to read"
+PARSE_PRECEDENCE = [
+    pytest.param("stern-gerlach", "[0.5, 0.5]", "[NaN, 0.5]", NON_FINITE.format("NaN"), id="nan-payload"),
+    pytest.param(
+        "stern-gerlach", "[[[1, 0], [0, 0]]]", "[[[1e999, 0], [0, 0]]]", NON_FINITE.format("1e999"), id="inf-payload"
+    ),
+    pytest.param("stern-gerlach", "[[[0, 0], [1, 0]]]", f"[[[0, 0], [{DIGITS}, 0]]]", TOO_LONG, id="digits-payload"),
+    pytest.param("midlife", '"duration": 40', '"duration": NaN', NON_FINITE.format("NaN"), id="nan-scalar"),
+    pytest.param(
+        "midlife", '"perception_duration": 0.5', '"perception_duration": 1e999', NON_FINITE.format("1e999"),
+        id="inf-scalar",
+    ),
+    pytest.param(
+        "midlife", '"perception_duration": 0.5', '"perception_duration": -Infinity', NON_FINITE.format("-Infinity"),
+        id="neginf-scalar",
+    ),
+    pytest.param("midlife", '"dim": 2', f'"dim": {DIGITS}', TOO_LONG, id="digits-scalar"),
+    # No state (required) and an unknown key: schema violations both.
+    pytest.param(
+        "stern-gerlach", '"state": {"kind": "diagonal", "weights": [0.5, 0.5]},', '"extra": [NaN],',
+        NON_FINITE.format("NaN"), id="nan-and-schema-violation",
+    ),
+    pytest.param(
+        "stern-gerlach", '"values": [1, -1],', '"values": [1, NaN], ,', NON_FINITE.format("NaN"), id="nan-then-syntax"
+    ),
+    pytest.param(
+        "stern-gerlach", '"kind": "quantum",', '"kind": "quantum",, "extra": NaN,',
+        "parse error at line 3 column 21: Expecting property name enclosed in double quotes", id="syntax-then-nan",
+    ),
+    pytest.param("stern-gerlach", '"values": [1, -1],', f'"values": [{DIGITS}, NaN],', TOO_LONG, id="digits-then-nan"),
+]
+
+
+@pytest.mark.parametrize("source,old,new,message", PARSE_PRECEDENCE)
+def test_parse_errors_keep_their_precedence(tmp_path, capsys, source, old, new, message):
+    text = SOURCE_TEXTS[source]
+    assert old in text
+    path = tmp_path / "doc.json"
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    assert main(["validate", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == f"qprob: error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1e308, 1e308]",  # finite numbers whose sum overflows
+        "[1" + "0" * 400 + ", 0.5]",  # an integer past the float range
+        '{"description": "NaN 1e999 Infinity"}',
+        "[[-0.0, 5e-324], [1e-400, 0]]",
+        '{"a": [[[1, 2]], [3.5]], "b": [true, null, "x"]}',
+    ],
+)
+def test_plain_parse_reads_what_the_hooked_parse_reads(text):
+    assert scenario._parse(text, "doc") == scenario._parse_hooked(text, "doc")
 
 
 def test_pure_state_scenario(tmp_path):

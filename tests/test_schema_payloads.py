@@ -1,15 +1,17 @@
-"""Differential test of the structure check on numeric payloads.
+"""Differential tests of the structure check against jsonschema.
 
-The loader lets jsonschema see a skeleton of each document, with every
-numeric payload (state `weights`, `vector`, `matrix` and channel `vectors`)
-cut to one entry after a pass of its own over the payload. Each example
-mutates one to three payloads or state fields of a shipped or seeded
-scenario and loads it twice: as the loader does, and with the structure
-check replaced by full-document jsonschema validation. Both must accept
-the document, or refuse it with the same exception class, message and
-JSON path.
+The loader decides structure with its own acceptor, which reads the
+schema's keywords and checks each numeric payload (state `weights`,
+`vector`, `matrix` and channel `vectors`) in one pass of its own; only a
+document it refuses goes to jsonschema, for the message and path. Each
+example mutates a shipped or seeded scenario, in its payloads or in the
+fields around them, and loads it twice: as the loader does, and with the
+structure check replaced by full-document jsonschema validation. Both must
+accept the document, or refuse it with the same exception class, message
+and JSON path, and the acceptor may accept only what jsonschema accepts.
 """
 
+import copy
 import json
 import tempfile
 from importlib import resources
@@ -59,6 +61,12 @@ SOURCES["seeded-density"] = _seeded_density()
 # Nesting depth of each payload: numbers, [re, im] pairs, lists of pairs.
 DEPTHS = {"weights": 1, "vector": 2, "matrix": 3, "vectors": 3}
 MUTABLE = sorted(name for name, doc in SOURCES.items() if "state" in doc)
+# Every document the loader ships or is tested on: the sources and the
+# other golden input.
+ACCEPTED = dict(
+    SOURCES,
+    dense=json.loads((ROOT / "tests" / "data" / "dense_complex_4x4.json").read_text(encoding="utf-8")),
+)
 
 
 def _payloads(doc):
@@ -118,7 +126,7 @@ def mutated_documents(draw):
         sites = _sites(doc)
         mutation = draw(st.sampled_from(["leaf", "empty", "pair", "short", "extra", "kind"]))
         if mutation == "leaf" and sites["leaf"]:
-            _set(doc, draw(st.sampled_from(sites["leaf"])), draw(st.sampled_from(LEAF_VALUES)))
+            _set(doc, draw(st.sampled_from(sites["leaf"])), copy.deepcopy(draw(st.sampled_from(LEAF_VALUES))))
         elif mutation == "empty" and sites["payload"]:
             _set(doc, draw(st.sampled_from(sites["payload"])), [])
         elif mutation == "pair" and sites["pair"]:
@@ -130,7 +138,7 @@ def mutated_documents(draw):
             _get(doc, draw(st.sampled_from(sites["vector"]))).pop()
         elif mutation == "extra":
             key = draw(st.sampled_from(["extra", "weights", "vector", "matrix"]))
-            doc["state"][key] = draw(st.sampled_from(EXTRA_VALUES))
+            doc["state"][key] = copy.deepcopy(draw(st.sampled_from(EXTRA_VALUES)))
         elif mutation == "kind":
             doc["state"]["kind"] = draw(st.sampled_from(["diagonal", "pure", "density", "mixed"]))
     return doc
@@ -151,9 +159,9 @@ def _outcome(path):
     return None
 
 
-@settings(derandomize=True, max_examples=250, deadline=None)
-@given(doc=mutated_documents())
-def test_skeleton_check_agrees_with_full_validation(doc):
+def _check_against_full_validation(doc):
+    if scenario._accepts(doc):
+        assert Draft202012Validator(schema_document()).is_valid(doc)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mutated.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -163,6 +171,131 @@ def test_skeleton_check_agrees_with_full_validation(doc):
     assert outcome == reference
 
 
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(doc=mutated_documents())
+def test_payload_mutations_agree_with_full_validation(doc):
+    _check_against_full_validation(doc)
+
+
+def _identifier_sites(doc) -> list[tuple]:
+    """Paths of the identifiers in `doc`: names, ids, references, labels,
+    points and event members."""
+    sites = [("name",)]
+    sites += [("spaces", i, "id") for i in range(len(doc.get("spaces", ())))]
+    sites += [("composite", i) for i in range(len(doc.get("composite", ())))]
+    for i, obs in enumerate(doc.get("observables", ())):
+        sites += [("observables", i, "id"), ("observables", i, "space")]
+        sites += [("observables", i, "channels", j, "label") for j in range(len(obs["channels"]))]
+    for i, observer in enumerate(doc.get("observers", ())):
+        sites += [("observers", i, key) for key in ("id", "observable") if key in observer]
+    sites += [("points", i) for i in range(len(doc.get("points", ())))]
+    for i, event in enumerate(doc.get("events", ())):
+        sites += [("events", i, "id")] + [("events", i, "members", k) for k in range(len(event["members"]))]
+    return sites
+
+
+def _objects(doc) -> list[tuple]:
+    """Paths of the objects in `doc` whose keys the schema closes."""
+    paths = [()]
+    for key in ("spaces", "observables", "observers", "events"):
+        paths += [(key, i) for i in range(len(doc.get(key, ())))]
+    paths += [("state",)] if "state" in doc else []
+    for i, obs in enumerate(doc.get("observables", ())):
+        paths += [("observables", i, "channels", j) for j in range(len(obs["channels"]))]
+    return paths
+
+
+QUANTUM_KEYS = {
+    "spaces": [{"id": "s", "dim": 2}],
+    "composite": ["s", "t"],
+    "state": {"kind": "diagonal", "weights": [1.0, 0.0]},
+    "observables": [],
+    "observers": [{"id": "o", "entropy": 1.0}],
+    "weighting": {"scheme": "weak"},
+}
+CLASSICAL_KEYS = {"points": ["p"], "measure": [1.0], "events": []}
+ONE_OF_KEYS = {"observable": "nothing", "branch_channels": 2, "entropy": 0.5}
+
+
+@st.composite
+def mutated_fields(draw):
+    """A shipped or seeded document with one to three of the fields around
+    its payloads changed."""
+    doc = json.loads(json.dumps(SOURCES[draw(st.sampled_from(sorted(SOURCES)))]))
+    classical = doc.get("kind") == "classical"
+    for _ in range(draw(st.integers(1, 3))):
+        mutation = draw(
+            st.sampled_from(["identifier", "dim", "log_base", "points", "one_of", "other_kind", "unknown", "kind"])
+        )
+        if mutation == "identifier":
+            path = draw(st.sampled_from(_identifier_sites(doc)))
+            value = _get(doc, path)
+            if isinstance(value, str):
+                _set(doc, path, draw(st.sampled_from([value + "\n", "_" + value])))
+        elif mutation == "dim" and doc.get("spaces"):
+            doc["spaces"][draw(st.integers(0, len(doc["spaces"]) - 1))]["dim"] = draw(st.sampled_from([2.0, True, 0]))
+        elif mutation == "log_base" and not classical:
+            doc.setdefault("weighting", {"scheme": "entropic"})["log_base"] = draw(st.sampled_from([2.0, True]))
+        elif mutation == "points" and classical:
+            doc["points"].append(draw(st.sampled_from(doc["points"])))
+        elif mutation == "one_of" and not classical:
+            observers = doc.setdefault("observers", [{"id": "extra-observer", "entropy": 1.0}])
+            observer = observers[draw(st.integers(0, len(observers) - 1))]
+            key = draw(st.sampled_from(sorted(ONE_OF_KEYS)))
+            observer[key] = ONE_OF_KEYS[key]
+        elif mutation == "other_kind":
+            keys = QUANTUM_KEYS if classical else CLASSICAL_KEYS
+            key = draw(st.sampled_from(sorted(keys)))
+            doc[key] = json.loads(json.dumps(keys[key]))
+        elif mutation == "unknown":
+            _get(doc, draw(st.sampled_from(_objects(doc))))[draw(st.sampled_from(["extra", "Name", "id2"]))] = 1
+        elif mutation == "kind":
+            doc["kind"] = draw(st.sampled_from(["mixed", "Quantum", "", 1]))
+    return doc
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(doc=mutated_fields())
+def test_field_mutations_agree_with_full_validation(doc):
+    _check_against_full_validation(doc)
+
+
+def test_the_acceptor_accepts_every_shipped_and_seeded_document():
+    # Accepted without jsonschema's help: the fallback is for refusals.
+    for name, doc in ACCEPTED.items():
+        assert scenario._accepts(doc), name
+
+
+def test_the_acceptor_leaves_what_it_cannot_read_to_jsonschema():
+    # jsonschema reads 2.0 as an integer and True == 1 as Python does not;
+    # an unknown keyword or a longer chain of subschemas may assert anything.
+    schema, depth = scenario._schema()
+    assert scenario._verdict(2.0, {"type": "integer"}, depth) is None
+    assert scenario._verdict(2.5, {"type": "integer"}, depth) is False
+    assert scenario._verdict(True, {"type": "number"}, depth) is False
+    assert scenario._verdict(2.0, {"enum": [2, "e"]}, depth) is None
+    assert scenario._verdict(True, {"enum": [1]}, depth) is None
+    assert scenario._verdict("x", {"type": "string", "format": "date"}, depth) is None
+    assert scenario._verdict([[[1]]], {"items": {"items": {"items": {"type": "number"}}}}, 3) is None
+    assert scenario._verdict([[[1]]], {"items": {"items": {"items": {"type": "number"}}}}, 4) is True
+    assert scenario._verdict({"kind": "pure"}, {"oneOf": [{"required": ["kind"]}, {"format": "x"}]}, depth) is None
+    assert scenario._verdict({"kind": "pure"}, {"oneOf": [{"required": ["kind"]}, True]}, depth) is False
+
+
+def test_the_payload_shapes_are_what_the_generic_reading_decides():
+    # The acceptor checks the four payload subschemas with _well_formed; its
+    # keyword reading of the same subschemas must agree with it.
+    schema, depth = scenario._schema()
+    for name, doc in ACCEPTED.items():
+        with mock.patch.object(scenario, "_PAYLOADS", ()):
+            assert scenario._verdict(doc, schema, 2 * depth) is True, name
+    for payload in ([], [1, [2]], [[1, 2, 3]], [[1, True]], [[[1, 0]], []], [["1", 0]], [[[1, 0], [0]]]):
+        for shape, payload_depth in scenario._PAYLOADS:
+            fast = scenario._well_formed(payload, payload_depth)
+            with mock.patch.object(scenario, "_PAYLOADS", ()):
+                assert scenario._verdict(payload, shape, 2 * depth) is fast, (payload, shape)
+
+
 def test_shipped_documents_are_valid_under_the_full_schema():
     validator = Draft202012Validator(schema_document())
     for name, doc in SOURCES.items():
@@ -170,8 +303,8 @@ def test_shipped_documents_are_valid_under_the_full_schema():
 
 
 def test_payload_subschemas_are_the_shapes_the_loader_walks():
-    # The loader checks these shapes itself and shows jsonschema one-entry
-    # stand-ins; a rule added here must be added to scenario._well_formed.
+    # The acceptor checks these shapes with scenario._well_formed instead of
+    # reading their keywords; a rule added here must be added there.
     schema = schema_document()
     vector = {"$ref": "#/$defs/vector"}
     assert schema["$defs"]["vector"] == {"type": "array", "minItems": 1, "items": {"$ref": "#/$defs/complex"}}
