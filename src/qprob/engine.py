@@ -14,12 +14,12 @@ is a loud error, never a silent NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SpaceMismatchError, ZeroProbabilityError
+from .errors import SpaceMismatchError, StructureError, ZeroProbabilityError
 from .hilbert import (
     INVARIANT_TOL,
     CompositeSpace,
@@ -73,23 +73,32 @@ class ProbabilityOperator:
     included: hermitian residual within HERMITIAN_TOL, trace within
     TRACE_TOL of 1, smallest eigenvalue above -PSD_TOL. The reports of
     those checks are kept in `checks`, in that order.
+
+    The hermitian residual and the trace are read on the matrix, the
+    eigenvalues on `blocks` when it is given (None: on the matrix).
+    `blocks` are square matrices, or stacks of them, that the matrix lifts
+    to mutually orthogonal ranges: the compressed sandwiches W^dag P W of
+    `collapse`, `luder` and `branch_decompose`, or a diagonal state's
+    weights as 1 x 1 blocks. The matrix's spectrum is theirs padded with
+    zeros (Nielsen & Chuang, section 2.2.5). `blocks` is not kept.
     """
 
     space: HilbertSpace
     matrix: Op
+    blocks: InitVar[tuple[np.ndarray, ...] | None] = None
     checks: tuple[StructureReport, ...] = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, blocks):
         if self.matrix.space != self.space:
             raise SpaceMismatchError(f"matrix on {self.matrix.space} does not live on {self.space}")
         a = self.matrix.entries
-        object.__setattr__(self, "checks", _require_invariants(a, cheb_norm(a - a.conj().T)))
+        object.__setattr__(self, "checks", _require_invariants(a, cheb_norm(a - a.conj().T), blocks))
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_entries(cls, space: HilbertSpace, entries) -> "ProbabilityOperator":
-        return cls(space, Op(space, entries))
+    def from_entries(cls, space: HilbertSpace, entries, blocks=None) -> "ProbabilityOperator":
+        return cls(space, Op(space, entries), blocks)
 
     @classmethod
     def pure(cls, state: Vec, tol: float = INVARIANT_TOL) -> "ProbabilityOperator":
@@ -109,23 +118,33 @@ class ProbabilityOperator:
         bad = np.flatnonzero(~np.isfinite(w))
         if bad.size:
             raise ValueError(f"diagonal weight {bad[0]} is {w[bad[0]]}; weights must be finite")
-        return cls(space, Op(space, np.diag(w.astype(np.complex128))))
+        with np.errstate(over="ignore"):
+            total = w.sum()
+        if not np.isfinite(total):
+            raise StructureError("probability operator must have unit trace: diagonal weight total overflows a float")
+        return cls(space, Op(space, np.diag(w.astype(np.complex128))), (w.reshape(-1, 1, 1),))
 
     def __repr__(self) -> str:
         return f"ProbabilityOperator({self.space})"
 
 
-def _require_invariants(a: np.ndarray, skew: float) -> tuple[StructureReport, ...]:
+def _require_invariants(a: np.ndarray, skew: float, blocks=None) -> tuple[StructureReport, ...]:
     # The three probability-operator checks of a, whose anti-hermitian
-    # part a - a^dag has largest absolute entry `skew`. Each raises before
-    # the next is computed: the PSD eigendecomposition never runs on a
-    # non-hermitian matrix.
+    # part a - a^dag has largest absolute entry `skew`, and whose spectrum
+    # is that of `blocks` padded with zeros (None: a's own). Each raises
+    # before the next is computed: the PSD eigendecomposition never runs on
+    # a non-hermitian matrix.
     must = "probability operator must"
-    return (
-        StructureReport("hermitian", skew, HERMITIAN_TOL).require(f"{must} be hermitian"),
-        StructureReport("unit-trace", abs(complex(np.trace(a)) - 1.0), TRACE_TOL).require(f"{must} have unit trace"),
-        StructureReport("psd", max(skew, _psd_deficit(a)), PSD_TOL).require(f"{must} be positive semidefinite"),
-    )
+    herm = StructureReport("hermitian", skew, HERMITIAN_TOL).require(f"{must} be hermitian")
+    trace = StructureReport("unit-trace", abs(complex(np.trace(a)) - 1.0), TRACE_TOL).require(f"{must} have unit trace")
+    if blocks is None:
+        deficit = _psd_deficit(a)
+    else:  # one batched eigendecomposition per block shape
+        stacks: dict[tuple[int, ...], list[np.ndarray]] = {}
+        for b in blocks:
+            stacks.setdefault(b.shape[-2:], []).append(b.reshape(-1, *b.shape[-2:]))
+        deficit = max(_psd_deficit(np.concatenate(s)) for s in stacks.values())
+    return herm, trace, StructureReport("psd", max(skew, deficit), PSD_TOL).require(f"{must} be positive semidefinite")
 
 
 # -- factor-local tables ------------------------------------------------
@@ -253,7 +272,7 @@ def collapse(
     """
     s = _sandwich(prob, e, comp)
     p = _conditionable(s.probability, threshold)
-    return CollapseResult(ProbabilityOperator.from_entries(prob.space, s.lift(s.block) / p), p)
+    return CollapseResult(ProbabilityOperator.from_entries(prob.space, s.lift(s.block) / p, (s.block / p,)), p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,7 +366,8 @@ def luder(prob: ProbabilityOperator, obs: Observable, *, comp: CompositeSpace | 
     """Decohere over an observable: the sandwich sum of e P e over its
     channels. Idempotent, and it preserves every channel probability."""
     sandwiches = [_sandwich(prob, ch, comp) for ch in obs.channels]
-    return ProbabilityOperator.from_entries(prob.space, sum(s.lift(s.block) for s in sandwiches))
+    lifted = sum(s.lift(s.block) for s in sandwiches)
+    return ProbabilityOperator.from_entries(prob.space, lifted, tuple(s.block for s in sandwiches))
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,7 +411,7 @@ def branch_decompose(
         error.residual = total.residual
         raise error
     posteriors = tuple(
-        None if p <= threshold else ProbabilityOperator.from_entries(prob.space, s.lift(s.block) / p)
+        None if p <= threshold else ProbabilityOperator.from_entries(prob.space, s.lift(s.block) / p, (s.block / p,))
         for s, p in zip(sandwiches, probs)
     )
     branch_vectors = None

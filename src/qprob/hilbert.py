@@ -370,5 +370,7 @@ def structure_check(m: Op, kind: str, tol: float = INVARIANT_TOL) -> StructureRe
 
 
 def _psd_deficit(a: np.ndarray) -> float:
-    """How far the smallest eigenvalue of a's hermitian part lies below 0."""
-    return max(0.0, -float(np.linalg.eigvalsh((a + a.conj().T) / 2.0).min()))
+    """How far the smallest eigenvalue of a's hermitian part lies below 0.
+    A stack of square matrices is read as its block-diagonal sum, with one
+    batched eigendecomposition."""
+    return max(0.0, -float(np.linalg.eigvalsh((a + a.conj().swapaxes(-1, -2)) / 2.0).min()))

@@ -446,6 +446,7 @@ MALFORMED_NEEDLES = {
     "21_ragged_density_rows.json": "state matrix: rows have different lengths",
     "22_deep_nesting.json": "parse error: nesting too deep to read",
     "23_deep_payload.json": "schema violation: value nested too deeply to check",
+    "24_overflowing_weights.json": "diagonal weight total overflows a float",
 }
 
 
@@ -504,4 +505,4 @@ def test_criterion_10_determinism_and_rejection(capsys):
         needle = MALFORMED_NEEDLES.get(path.name, "")
         if needle and needle not in err:
             failures.append(f"{path.name}: stderr does not name the violation ({needle!r})")
-    report(10, "byte-determinism across presets/commands/formats; 23 malformed files rejected", failures)
+    report(10, "byte-determinism across presets/commands/formats; 24 malformed files rejected", failures)

@@ -2,7 +2,7 @@
 finite value must still give a clean outcome from the command line.
 
 Each example copies a preset or the midlife scenario, replaces one number
-anywhere in the document, and runs every command that applies to it
+anywhere in the document (two, in an @example whose fault needs both), and runs every command that applies to it
 through `main`. Whatever the value, the exit status is 0, 1 or 2, no
 exception escapes, no numeric RuntimeWarning is raised, and a successful
 run prints no NaN or infinity.
@@ -73,26 +73,30 @@ def _dumps(doc) -> str:
 LEAVES = {name: list(_numeric_leaves(json.loads(text))) for name, text in SOURCES.items()}
 
 cases = st.sampled_from(sorted(SOURCES)).flatmap(
-    lambda name: st.tuples(st.just(name), st.sampled_from(LEAVES[name]), st.sampled_from(EXTREMES))
+    lambda name: st.tuples(
+        st.just(name), st.sampled_from(LEAVES[name]).map(lambda leaf: (leaf,)), st.sampled_from(EXTREMES)
+    )
 )
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(case=cases)
-@example(case=("midlife", ("lifetime_profile", "segments", 0, "duration"), 1e308))
-@example(case=("midlife", ("lifetime_profile", "segments", 1, "perception_duration"), 5e-324))
-@example(case=("midlife", ("lifetime_profile", "segments", 1, "duration"), 10**400))
-@example(case=("stern-gerlach", ("observables", 0, "channels", 0, "vectors", 0, 0, 0), 1e200))
-@example(case=("midlife", ("lifetime_profile", "segments", 1, "duration"), 10**5000))
-@example(case=("midlife", ("lifetime_profile", "segments", 0, "branch_channels"), 10**5000))
+@example(case=("midlife", (("lifetime_profile", "segments", 0, "duration"),), 1e308))
+@example(case=("midlife", (("lifetime_profile", "segments", 1, "perception_duration"),), 5e-324))
+@example(case=("midlife", (("lifetime_profile", "segments", 1, "duration"),), 10**400))
+@example(case=("stern-gerlach", (("observables", 0, "channels", 0, "vectors", 0, 0, 0),), 1e200))
+@example(case=("midlife", (("lifetime_profile", "segments", 1, "duration"),), 10**5000))
+@example(case=("midlife", (("lifetime_profile", "segments", 0, "branch_channels"),), 10**5000))
+@example(case=("stern-gerlach", (("state", "weights", 0), ("state", "weights", 1)), 1e308))  # the total overflows
 def test_extreme_leaf_gives_a_clean_outcome(case):
-    name, path, value = case
+    name, leaves, value = case
     doc = json.loads(SOURCES[name])
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
+    for path in leaves:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
     with tempfile.TemporaryDirectory() as tmp:
         scenario = Path(tmp) / "mutated.json"
         scenario.write_text(_dumps(doc), encoding="utf-8")

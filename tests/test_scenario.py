@@ -159,6 +159,7 @@ MALFORMED_EXPECTATIONS = [
     ("21_ragged_density_rows.json", "state matrix: rows have different lengths (4 and 3)"),
     ("22_deep_nesting.json", "22_deep_nesting.json: parse error: nesting too deep to read"),
     ("23_deep_payload.json", "23_deep_payload.json: schema violation: value nested too deeply to check"),
+    ("24_overflowing_weights.json", "state: probability operator must have unit trace: diagonal weight total"),
 ]
 # Numbers a float cannot hold, and nesting the decoder cannot follow, are
 # refused as read, not as invariant violations.
