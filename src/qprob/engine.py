@@ -78,9 +78,10 @@ class ProbabilityOperator:
     eigenvalues on `blocks` when it is given (None: on the matrix).
     `blocks` are square matrices, or stacks of them, that the matrix lifts
     to mutually orthogonal ranges: the compressed sandwiches W^dag P W of
-    `collapse`, `luder` and `branch_decompose`, or a diagonal state's
-    weights as 1 x 1 blocks. The matrix's spectrum is theirs padded with
-    zeros (Nielsen & Chuang, section 2.2.5). `blocks` is not kept.
+    `collapse`, `luder` and `branch_decompose`, a diagonal state's weights
+    as 1 x 1 blocks, or a pure state's squared norm as one. The matrix's
+    spectrum is theirs padded with zeros (Nielsen & Chuang, section 2.2.5).
+    `blocks` is not kept.
     """
 
     space: HilbertSpace
@@ -103,7 +104,7 @@ class ProbabilityOperator:
     @classmethod
     def pure(cls, state: Vec, tol: float = INVARIANT_TOL) -> "ProbabilityOperator":
         state.require_unit(tol)
-        return cls(state.space, state.outer(state))
+        return cls(state.space, state.outer(state), (np.array([[state.norm() ** 2]]),))
 
     @classmethod
     def isotropic(cls, space: HilbertSpace) -> "ProbabilityOperator":
@@ -141,7 +142,7 @@ def _require_invariants(a: np.ndarray, skew: float, blocks=None) -> tuple[Struct
         deficit = _psd_deficit(a)
     else:  # one batched eigendecomposition per block shape
         stacks: dict[tuple[int, ...], list[np.ndarray]] = {}
-        for b in blocks:
+        for b in filter(np.size, blocks):  # an empty block adds no eigenvalue
             stacks.setdefault(b.shape[-2:], []).append(b.reshape(-1, *b.shape[-2:]))
         deficit = max(_psd_deficit(np.concatenate(s)) for s in stacks.values())
     return herm, trace, StructureReport("psd", max(skew, deficit), PSD_TOL).require(f"{must} be positive semidefinite")
@@ -246,10 +247,10 @@ def _sandwich(prob: ProbabilityOperator, e: Eventuality, comp: CompositeSpace | 
             raise SpaceMismatchError(f"operator on {prob.space} does not live on the composite {comp.space}")
         k = comp.factor_index(e.space)
         before, after = comp.dim_before(k), comp.dim_after(k)
-    v = e.basis_matrix
+    v, side = e.basis_matrix, before * e.rank * after  # a null e gives a 0 x 0 block
     boxed = prob.matrix.entries.reshape((before, v.shape[0], after) * 2)
     half = np.tensordot(v.conj(), boxed, axes=(0, 1))  # r, before, after, before, n, after
-    block = np.tensordot(half, v, axes=(4, 0)).transpose(1, 0, 2, 3, 5, 4).reshape(before * e.rank * after, -1)
+    block = np.tensordot(half, v, axes=(4, 0)).transpose(1, 0, 2, 3, 5, 4).reshape(side, side)
     return _Sandwich(block, v, before, after)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -372,5 +373,11 @@ def structure_check(m: Op, kind: str, tol: float = INVARIANT_TOL) -> StructureRe
 def _psd_deficit(a: np.ndarray) -> float:
     """How far the smallest eigenvalue of a's hermitian part lies below 0.
     A stack of square matrices is read as its block-diagonal sum, with one
-    batched eigendecomposition."""
-    return max(0.0, -float(np.linalg.eigvalsh((a + a.conj().swapaxes(-1, -2)) / 2.0).min()))
+    batched eigendecomposition. Entries whose real or imaginary part lies
+    past 1 are scaled down first, so that a + a^dag cannot overflow; an
+    operator that can pass has none. A deficit past the float range reads
+    as the largest float."""
+    s = max(1.0, cheb_norm(a.real), cheb_norm(a.imag))
+    b = a / s
+    deficit = max(0.0, -float(np.linalg.eigvalsh((b + b.conj().swapaxes(-1, -2)) / 2.0).min()))
+    return min(deficit * s, sys.float_info.max)

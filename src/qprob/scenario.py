@@ -2,8 +2,8 @@
 
 A scenario is a json document validated in three stages: syntax (parse
 errors report the position), structure (against the shipped json schema,
-which the loader reads itself; jsonschema only reports the offending path
-of a document it refuses), and semantics (numeric invariants such as
+which the loader reads itself, naming the node that breaks it and the
+rule it breaks), and semantics (numeric invariants such as
 unit trace, channel orthogonality, and reference resolution, each named
 with its residual). Presets ship as ordinary scenario files inside the
 package; nothing is hard-coded.
@@ -15,9 +15,9 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 from importlib import resources
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -188,8 +188,9 @@ def _finite(doc) -> bool:
 
 
 # The numeric payload subschemas and their nesting depth (1: numbers, 2:
-# [re, im] pairs, 3: lists of pairs). The acceptor checks these shapes with
-# _well_formed; tests/test_schema_payloads.py pins them in the schema.
+# [re, im] pairs, 3: lists of pairs). The validator passes a payload that
+# _well_formed accepts, and reads any other keyword by keyword to find its
+# violation; tests/test_schema_payloads.py pins these shapes in the schema.
 _PAYLOADS = (
     ({"type": "array", "minItems": 1, "items": {"type": "number"}}, 1),
     ({"$ref": "#/$defs/vector"}, 2),
@@ -214,163 +215,159 @@ def _well_formed(node, depth: int) -> bool:
     )
 
 
-@cache
-def _schema() -> tuple[dict, int]:
-    """The schema the acceptor reads, parsed once per process and never
-    handed out, and its nesting depth: the longest chain of subschemas the
-    acceptor follows."""
-    schema = schema_document()
-    depth, level = 0, [schema]
-    while level:
-        depth += 1
-        children = chain.from_iterable(node.values() if type(node) is dict else node for node in level)
-        level = [child for child in children if type(child) in (dict, list)]
-    return schema, depth
+# The schema the validator reads, parsed once per process and never handed out.
+_schema = cache(schema_document)
 
 
-def _all(pairs, budget: int) -> bool | None:
-    """The verdicts on (node, subschema) pairs, joined: False if one is
-    False, else None if one is None, else True."""
-    result = True
-    for node, schema in pairs:
-        verdict = _verdict(node, schema, budget)
-        if verdict is False:
-            return False
-        if verdict is None:
-            result = None
-    return result
+def _quote(value, depth: int = 32) -> str:
+    """repr(value), with what is nested more than `depth` levels written as
+    [...] or {...}: a message never needs more stack than that."""
+    if type(value) is list:
+        return "[...]" if depth == 0 else "[" + ", ".join(_quote(v, depth - 1) for v in value) + "]"
+    if type(value) is dict:
+        items = (f"{k!r}: {_quote(v, depth - 1)}" for k, v in value.items())
+        return "{...}" if depth == 0 else "{" + ", ".join(items) + "}"
+    return repr(value)
 
 
-def _is_one_of(node, rule: list, schema: dict, budget: int) -> bool | None:
-    verdicts = [_verdict(node, branch, budget) for branch in rule]
-    if verdicts.count(True) == 1 and verdicts.count(False) == len(verdicts) - 1:
-        return True
-    return False if verdicts.count(True) > 1 or verdicts.count(False) == len(verdicts) else None
+def _canonical(value) -> tuple:
+    """A flat key that two json values share exactly when json schema calls
+    them equal: a bool equals only a bool, 2.0 equals 2, and key order does
+    not count. Read without recursion."""
+    key, todo = [], [value]
+    while todo:
+        node = todo.pop()
+        if type(node) is list:
+            key.append(("array", len(node)))
+            todo.extend(node)
+        elif type(node) is dict:
+            key.append(("object", len(node)))
+            for name in sorted(node):
+                todo += [node[name], name]
+        else:
+            key.append(("number" if type(node) in _NUMBER_TYPES else type(node).__name__, node))
+    return tuple(key)
 
 
-def _is_if(node, rule, schema: dict, budget: int) -> bool | None:
-    condition = _verdict(node, rule, budget)
-    if condition is None:
-        return None
-    return _verdict(node, schema.get("then" if condition else "else", True), budget)
-
-
-def _is_ref(node, rule: str, schema: dict, budget: int) -> bool | None:
-    if not rule.startswith("#/") or "~" in rule:
-        return None
-    target = _schema()[0]
-    for part in rule[2:].split("/"):
-        target = target[part]
-    return _verdict(node, target, budget)
+def _first(violations) -> tuple[tuple, str] | None:
+    """The violation at the shallowest node, the earliest of those, among
+    `violations` (any false value is a pass); None if there is none."""
+    return min(filter(None, violations), key=lambda found: len(found[0]), default=None)
 
 
 _TYPES = {"object": (dict,), "array": (list,), "string": (str,), "number": (int, float), "integer": (int,)}
 
 
-def _is_type(node, rule: str, schema: dict, budget: int) -> bool | None:
-    kinds = _TYPES.get(rule) if type(rule) is str else None
-    if kinds is None:
+def _additional_properties(node, rule, schema: dict, path: tuple):
+    extras = sorted(k for k in node if k not in schema.get("properties", ())) if type(node) is dict else []
+    if rule is not False or not extras:
+        return _first(_violation(node[k], rule, path + (k,)) for k in extras)
+    names = f"{', '.join(map(repr, extras))} {'were' if extras[1:] else 'was'}"
+    return path, f"Additional properties are not allowed ({names} unexpected)"
+
+
+def _items(node, rule, schema: dict, path: tuple):
+    start = len(schema.get("prefixItems", ()))
+    rest = node[start:] if type(node) is list else []
+    if rule is not False or not rest:
+        return _first(_violation(item, rule, path + (i,)) for i, item in enumerate(rest, start))
+    found = f"{len(rest)} extra: {_quote(rest if rest[1:] else rest[0])}"
+    return path, f"Expected at most {start} item{'' if start == 1 else 's'} but found {found}"
+
+
+def _one_of(node, rule: list, schema: dict, path: tuple):
+    failures = [_violation(node, branch, path) for branch in rule]
+    passing = [branch for branch, found in zip(rule, failures) if found is None]
+    if len(passing) > 1:  # jsonschema lists the first passing branch last
+        return path, f"{_quote(node)} is valid under each of {', '.join(map(repr, passing[1:] + passing[:1]))}"
+    if passing:
         return None
-    if type(node) in kinds:
-        return True
-    # jsonschema counts 2.0 as an integer; that reading is left to it.
-    return None if rule == "integer" and type(node) is float and node.is_integer() else False
+    # The branch that fails deepest is named; on a tie, the oneOf itself.
+    deepest = max(len(found[0]) for found in failures)
+    named = [found for found in failures if len(found[0]) == deepest]
+    return named[0] if len(named) == 1 else (path, f"{_quote(node)} is not valid under any of the given schemas")
 
 
-def _is_among(node, values: list) -> bool | None:
-    if any(type(v) is type(node) and v == node for v in values):
-        return True
-    # 2.0 == 2 and True == 1 in Python; jsonschema decides such a match.
-    return None if any(v == node for v in values) else False
-
-
-def _is_unique(node: list) -> bool | None:
-    if not all(type(item) is str for item in node):
-        return None
-    return len(set(node)) == len(node)
-
-
-# keyword -> its check of `node`, given the keyword's value, the whole
-# subschema and the depth budget left; each returns True, False or None
-# (undecided) as _verdict does.
+# keyword -> its check of `node` at `path`, given the keyword's value and the
+# whole subschema: a violation as _violation gives it, or a false value.
 _KEYWORDS = {
-    "$ref": _is_ref,
-    "type": _is_type,
-    "required": lambda node, rule, schema, budget: type(node) is not dict or all(k in node for k in rule),
-    "properties": lambda node, rule, schema, budget: type(node) is not dict or _all(
-        [(node[k], sub) for k, sub in rule.items() if k in node], budget
+    # A pointer into the schema itself, "#/$defs/...".
+    "$ref": lambda node, rule, schema, path: _violation(
+        node, reduce(dict.__getitem__, rule[2:].split("/"), _schema()), path
     ),
-    "additionalProperties": lambda node, rule, schema, budget: type(node) is not dict or _all(
-        [(v, rule) for k, v in node.items() if k not in schema.get("properties", ())], budget
+    # A bool is no number, and 2.0 is an integer.
+    "type": lambda node, rule, schema, path: not (
+        type(node) in _TYPES[rule] or rule == "integer" and type(node) is float and node.is_integer()
+    ) and (path, f"{_quote(node)} is not of type {rule!r}"),
+    "required": lambda node, rule, schema, path: type(node) is dict and next(
+        ((path, f"{k!r} is a required property") for k in rule if k not in node), None
     ),
-    "prefixItems": lambda node, rule, schema, budget: type(node) is not list or _all(zip(node, rule), budget),
-    "items": lambda node, rule, schema, budget: type(node) is not list or _all(
-        zip(node[len(schema.get("prefixItems", ())):], repeat(rule)), budget
+    "properties": lambda node, rule, schema, path: type(node) is dict and _first(
+        _violation(node[k], sub, path + (k,)) for k, sub in rule.items() if k in node
     ),
-    "minItems": lambda node, rule, schema, budget: type(node) is not list or len(node) >= rule,
-    "maxItems": lambda node, rule, schema, budget: type(node) is not list or len(node) <= rule,
-    "uniqueItems": lambda node, rule, schema, budget: type(node) is not list or not rule or _is_unique(node),
-    "minimum": lambda node, rule, schema, budget: type(node) not in _NUMBER_TYPES or node >= rule,
-    "exclusiveMinimum": lambda node, rule, schema, budget: type(node) not in _NUMBER_TYPES or node > rule,
-    "maximum": lambda node, rule, schema, budget: type(node) not in _NUMBER_TYPES or node <= rule,
-    "enum": lambda node, rule, schema, budget: _is_among(node, rule),
-    "const": lambda node, rule, schema, budget: _is_among(node, [rule]),
-    "pattern": lambda node, rule, schema, budget: type(node) is not str or re.search(rule, node) is not None,
-    "oneOf": _is_one_of,
-    "allOf": lambda node, rule, schema, budget: _all(zip(repeat(node), rule), budget),
-    "if": _is_if,
+    "additionalProperties": _additional_properties,
+    "prefixItems": lambda node, rule, schema, path: type(node) is list and _first(
+        _violation(item, sub, path + (i,)) for i, (item, sub) in enumerate(zip(node, rule))
+    ),
+    "items": _items,
+    "minItems": lambda node, rule, schema, path: type(node) is list and len(node) < rule and (
+        path, f"{_quote(node)} {'should be non-empty' if rule == 1 else 'is too short'}"
+    ),
+    "maxItems": lambda node, rule, schema, path: type(node) is list and len(node) > rule and (
+        path, f"{_quote(node)} {'is expected to be empty' if rule == 0 else 'is too long'}"
+    ),
+    "uniqueItems": lambda node, rule, schema, path: rule and type(node) is list and (
+        len(set(map(_canonical, node))) < len(node) and (path, f"{_quote(node)} has non-unique elements")
+    ),
+    "minimum": lambda node, rule, schema, path: type(node) in _NUMBER_TYPES and node < rule and (
+        path, f"{node!r} is less than the minimum of {rule!r}"
+    ),
+    "exclusiveMinimum": lambda node, rule, schema, path: type(node) in _NUMBER_TYPES and node <= rule and (
+        path, f"{node!r} is less than or equal to the minimum of {rule!r}"
+    ),
+    "maximum": lambda node, rule, schema, path: type(node) in _NUMBER_TYPES and node > rule and (
+        path, f"{node!r} is greater than the maximum of {rule!r}"
+    ),
+    "enum": lambda node, rule, schema, path: _canonical(node) not in map(_canonical, rule) and (
+        path, f"{_quote(node)} is not one of {rule!r}"
+    ),
+    "const": lambda node, rule, schema, path: _canonical(node) != _canonical(rule) and (path, f"{rule!r} was expected"),
+    "pattern": lambda node, rule, schema, path: type(node) is str and not re.search(rule, node) and (
+        path, f"{node!r} does not match {rule!r}"
+    ),
+    "oneOf": _one_of,
+    "allOf": lambda node, rule, schema, path: _first(_violation(node, sub, path) for sub in rule),
+    "if": lambda node, rule, schema, path: _violation(
+        node, schema.get("else" if _violation(node, rule, path) else "then", True), path
+    ),
 }
 # Keywords that assert nothing by themselves: annotations, definitions and
 # the branches that "if" picks from.
 _PASSIVE = frozenset({"$schema", "$id", "$defs", "title", "description", "then", "else"})
-_KNOWN = _KEYWORDS.keys() | _PASSIVE
 
 
-def _verdict(node, schema, budget: int) -> bool | None:
-    """Whether `schema` accepts `node`, as jsonschema would decide it: True
-    or False, or None when the keywords above cannot tell (a keyword they do
-    not know, a value jsonschema reads differently from Python, or a chain
-    of subschemas longer than `budget`)."""
+def _violation(node, schema, path: tuple = ()) -> tuple[tuple, str] | None:
+    """The first violation of `schema` by `node`, as json schema draft
+    2020-12 reads the keywords above: (path, message), the keys and indices
+    from the document to the node that fails and jsonschema's message for
+    the keyword that failed there; None if there is none. Of several, the
+    one at the shallowest node comes first, then the one whose keyword
+    does. A false subschema fails at its own node: for a property, one
+    level below where jsonschema names it."""
     if type(schema) is bool:
-        return schema
-    if budget == 0 or not schema.keys() <= _KNOWN:
+        return None if schema else (path, f"False schema does not allow {_quote(node)}")
+    if any(schema == shape and _well_formed(node, depth) for shape, depth in _PAYLOADS):
         return None
-    for shape, depth in _PAYLOADS:
-        if schema == shape:
-            return _well_formed(node, depth)
-    result = True
-    for key, rule in schema.items():
-        if key not in _PASSIVE:
-            verdict = _KEYWORDS[key](node, rule, schema, budget - 1)
-            if verdict is False:
-                return False
-            if verdict is None:
-                result = None
-    return result
-
-
-def _accepts(doc) -> bool:
-    """Whether the schema surely accepts `doc`, decided without jsonschema."""
-    schema, depth = _schema()
-    return _verdict(doc, schema, depth) is True
+    return _first(_KEYWORDS[key](node, rule, schema, path) for key, rule in schema.items() if key not in _PASSIVE)
 
 
 def _validate_structure(doc: dict, origin: str) -> None:
-    if _accepts(doc):
-        return
-    # Only a document the acceptor refuses pays for jsonschema. Refusals
-    # name the node and quote the value the user wrote.
-    from jsonschema import Draft202012Validator
-    from jsonschema.exceptions import best_match
-
-    try:
-        error = best_match(Draft202012Validator(_schema()[0]).iter_errors(doc))
-    except RecursionError:
-        # Quoting a value nested about as deep as the recursion limit fails.
-        raise ScenarioValidationError(f"{origin}: schema violation: value nested too deeply to check") from None
-    if error is not None:
-        where = error.json_path if error.json_path != "$" else "document root"
-        raise ScenarioValidationError(f"{origin}: schema violation at {where}: {error.message}", error.json_path)
+    found = _violation(doc, _schema())
+    if found is not None:
+        path, message = found
+        json_path = "$" + "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path)
+        where = json_path if path else "document root"
+        raise ScenarioValidationError(f"{origin}: schema violation at {where}: {message}", json_path)
 
 
 def _too_large(what: str) -> ScenarioParseError:

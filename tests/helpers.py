@@ -47,7 +47,7 @@ def rand_unitary_op(rng: np.random.Generator, space: HilbertSpace) -> Op:
 def on_fresh_stack(fn, *args):
     """fn(*args) on a new thread, whose stack starts out about as empty as
     that of a `python -m qprob` process. How deeply a document may nest
-    before the decoder or jsonschema gives up depends on the frames beneath
-    the call, and a test runner adds some thirty."""
+    before the decoder gives up depends on the frames beneath the call,
+    and a test runner adds some thirty."""
     with ThreadPoolExecutor(1) as pool:
         return pool.submit(fn, *args).result()

@@ -445,8 +445,10 @@ MALFORMED_NEEDLES = {
     "20_ragged_channel_vectors.json": "channel 'up': vectors have different lengths (2 and 1)",
     "21_ragged_density_rows.json": "state matrix: rows have different lengths",
     "22_deep_nesting.json": "parse error: nesting too deep to read",
-    "23_deep_payload.json": "schema violation: value nested too deeply to check",
+    "23_deep_payload.json": "schema violation at $.state.vector[0]",
     "24_overflowing_weights.json": "diagonal weight total overflows a float",
+    "25_overflowing_psd_weights.json": "positive semidefinite: residual 1.700e+308",
+    "26_overflowing_psd_matrix.json": "positive semidefinite: residual 1.798e+308",
 }
 
 
@@ -505,4 +507,4 @@ def test_criterion_10_determinism_and_rejection(capsys):
         needle = MALFORMED_NEEDLES.get(path.name, "")
         if needle and needle not in err:
             failures.append(f"{path.name}: stderr does not name the violation ({needle!r})")
-    report(10, "byte-determinism across presets/commands/formats; 24 malformed files rejected", failures)
+    report(10, "byte-determinism across presets/commands/formats; 26 malformed files rejected", failures)

@@ -263,6 +263,30 @@ def test_branch_decompose_zero_channel():
     assert cheb_norm(bd.posteriors[0].matrix.entries - np.diag([1.0, 0])) < 1e-12
 
 
+@pytest.mark.parametrize("lifted", [True, False], ids=["lifted", "comp"])
+def test_a_null_channel_sandwiches_to_an_empty_block(lifted):
+    detector, cat = CAT_COMP.factors
+    obs = Observable(detector, (Eventuality.null(detector), Eventuality.certain(detector)), ("none", "all"))
+    target, comp = basis_observable(cat), CAT_COMP
+    if lifted:
+        obs, target, comp = lift(obs, CAT_COMP), lift(target, CAT_COMP), None
+    null = obs.channels[0]
+    assert cheb_norm(luder(CAT_STATE, obs, comp=comp).matrix.entries - CAT_STATE.matrix.entries) < 1e-15
+    with pytest.raises(ZeroProbabilityError) as err:
+        collapse(CAT_STATE, null, comp=comp)
+    assert err.value.probability == 0.0
+    with pytest.raises(ZeroProbabilityError) as err:
+        conditional(CAT_STATE, null, target, comp=comp)
+    assert err.value.probability == 0.0
+    psi = Vec(CAT_COMP.space, np.sqrt([0.45, 0.05, 0.0, 0.5]))
+    for state in (CAT_STATE, psi):
+        bd = branch_decompose(state, obs, comp=comp)
+        assert bd.probabilities == pytest.approx((0.0, 1.0), abs=1e-15)
+        assert bd.zero_channels == (0,)
+        assert bd.posteriors[0] is None
+    assert cheb_norm(bd.branch_vectors[0].components) == 0.0
+
+
 def test_branch_decompose_posteriors_match_collapse():
     rng = np.random.default_rng(71)
     for _ in range(20):

@@ -1,10 +1,9 @@
-"""jsonschema is imported only for a document the loader refuses.
+"""No scenario, accepted or refused, imports jsonschema.
 
-The loader's own acceptor reads the schema and decides the common case: a
-well-formed document. Only a document it refuses is handed to jsonschema,
-for the message and path of the violation. Importing jsonschema costs a
-cold `python -m qprob` about a third of its start, so no accepted scenario
-may pay for it, and the package imports it in one place only.
+The loader's own validator reads the schema, decides every document and
+names the violation of one it refuses. jsonschema is the oracle of the
+tests and not a runtime dependency: importing it would cost a cold
+`python -m qprob` about a third of its start.
 """
 
 import ast
@@ -13,14 +12,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-from qprob import scenario
-from tests.helpers import on_fresh_stack
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "qprob"
 MALFORMED = ROOT / "tests" / "data" / "malformed"
 GOLDEN_INPUTS = ("scenarios/midlife.json", "tests/data/complex_dense.json", "tests/data/dense_complex_4x4.json")
-# The malformed files whose structure the acceptor refuses; the others are
+# The malformed files whose structure the validator refuses; the others are
 # refused while parsing or by a semantic check after it.
 SCHEMA_REFUSALS = {"02_missing_state.json", "10_bad_complex_pair.json", "13_zero_lifetime.json", "23_deep_payload.json"}
 
@@ -33,6 +31,21 @@ for name in PRESET_NAMES:
     load_preset(name)
 for path in sys.argv[1:]:
     load_file(path)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "jsonschema"))
+"""
+# Loads each file given, printing the names of those refused as schema
+# violations, then lists the jsonschema modules the process holds.
+REFUSE_ALL = """
+import sys
+from pathlib import Path
+from qprob.errors import QprobError
+from qprob.scenario import load_file
+for path in sys.argv[1:]:
+    try:
+        load_file(path)
+    except QprobError as exc:
+        if "schema violation" in str(exc):
+            print(Path(path).name)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "jsonschema"))
 """
 
@@ -71,24 +84,24 @@ def test_the_command_line_does_not_import_jsonschema_for_a_preset():
     assert _jsonschema(names) == set()
 
 
-def test_a_refused_document_imports_jsonschema():
+def test_a_refused_document_imports_no_jsonschema():
     code, names = _imported_modules(["validate", "--scenario", str(MALFORMED / "02_missing_state.json")])
     assert code == 2
-    assert "jsonschema" in _jsonschema(names)
+    assert "qprob.scenario" in names
+    assert _jsonschema(names) == set()
 
 
-def _refused_by_the_acceptor(path: Path) -> bool:
-    try:
-        doc = scenario._parse(path.read_text(encoding="utf-8"), path.name)
-    except scenario.ScenarioParseError:
-        return False
-    return not scenario._accepts(doc)
-
-
-def test_only_schema_refusals_reach_jsonschema():
-    # The 980-level payload parses only from a shallow stack.
-    refused = {path.name for path in MALFORMED.glob("*.json") if on_fresh_stack(_refused_by_the_acceptor, path)}
-    assert refused == SCHEMA_REFUSALS
+def test_no_refusal_imports_jsonschema():
+    # From a process of its own, whose stack is as shallow as the command
+    # line's: the 980-level payload parses only from such a stack.
+    files = sorted(str(path) for path in MALFORMED.glob("*.json"))
+    proc = subprocess.run(
+        [sys.executable, "-c", REFUSE_ALL, *files],
+        capture_output=True, text=True, cwd=ROOT, env=_child_env(), check=True,
+    )
+    *refused, modules = proc.stdout.splitlines()
+    assert set(refused) == SCHEMA_REFUSALS
+    assert modules == "[]"
 
 
 def _jsonschema_imports(text: str) -> list[str]:
@@ -113,13 +126,20 @@ def _jsonschema_imports(text: str) -> list[str]:
     return found
 
 
-def test_jsonschema_is_imported_only_inside_validate_structure():
+def test_no_module_under_src_imports_jsonschema():
     found = {
         f"{path.name}:{owner}"
         for path in sorted(SRC.glob("*.py"))
         for owner in _jsonschema_imports(path.read_text(encoding="utf-8"))
     }
-    assert found == {"scenario.py:_validate_structure"}
+    assert found == set()
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert [dep.split(">")[0].split("=")[0] for dep in project["dependencies"]] == ["numpy"]
+    assert "jsonschema" in {dep.split(">")[0] for dep in project["optional-dependencies"]["test"]}
 
 
 def test_import_lint_catches_spellings():
@@ -132,8 +152,8 @@ def test_import_lint_catches_spellings():
 
 
 def test_deep_payload_is_one_named_error_on_the_command_line():
-    # 980 levels: the decoder reads it, and quoting it from jsonschema would
-    # pass the recursion limit.
+    # 980 levels: the decoder reads it from a shallow stack, and the
+    # violation quotes it abbreviated.
     path = MALFORMED / "23_deep_payload.json"
     proc = subprocess.run(
         [sys.executable, "-m", "qprob", "validate", "--scenario", str(path)],
@@ -141,6 +161,7 @@ def test_deep_payload_is_one_named_error_on_the_command_line():
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == f"qprob: error: {path}: schema violation: value nested too deeply to check\n"
+    quoted = "[" * 32 + "[...]" + "]" * 32
+    assert proc.stderr == f"qprob: error: {path}: schema violation at $.state.vector[0]: {quoted} is too short\n"
     vector = path.read_text(encoding="utf-8").split('"vector": ')[1]
     assert len(vector) - len(vector.lstrip("[")) == 980

@@ -158,8 +158,10 @@ MALFORMED_EXPECTATIONS = [
     ("20_ragged_channel_vectors.json", "channel 'up': vectors have different lengths (2 and 1)"),
     ("21_ragged_density_rows.json", "state matrix: rows have different lengths (4 and 3)"),
     ("22_deep_nesting.json", "22_deep_nesting.json: parse error: nesting too deep to read"),
-    ("23_deep_payload.json", "23_deep_payload.json: schema violation: value nested too deeply to check"),
+    ("23_deep_payload.json", "23_deep_payload.json: schema violation at $.state.vector[0]: " + "[" * 32 + "[...]"),
     ("24_overflowing_weights.json", "state: probability operator must have unit trace: diagonal weight total"),
+    ("25_overflowing_psd_weights.json", "probability operator must be positive semidefinite: residual 1.700e+308"),
+    ("26_overflowing_psd_matrix.json", "probability operator must be positive semidefinite: residual 1.798e+308"),
 ]
 # Numbers a float cannot hold, and nesting the decoder cannot follow, are
 # refused as read, not as invariant violations.
@@ -174,6 +176,51 @@ def test_malformed_files_name_the_violation(filename, needle):
     with pytest.raises(error) as err:
         on_fresh_stack(load_file, MALFORMED / filename)
     assert needle in str(err.value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "filename,residual",
+    [
+        # 1.7e308 - 1.7e308 + 0.5 + 0.5 is a unit trace, but a + a^dag overflows.
+        ("25_overflowing_psd_weights.json", "1.700e+308"),
+        # The negative eigenvalue, -|1.3e308 + 1.3e308i|, lies past the float
+        # range; the residual reads as the largest float.
+        ("26_overflowing_psd_matrix.json", "1.798e+308"),
+    ],
+)
+def test_entries_near_the_float_limit_are_one_finite_psd_error(capsys, filename, residual):
+    path = MALFORMED / filename
+    assert main(["validate", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"qprob: error: {path}: state: probability operator must be positive semidefinite: "
+        f"residual {residual} exceeds 1e-10\n"
+    )
+
+
+def _at_depth(frames: int, fn, *args):
+    """fn(*args), called `frames` frames deeper than this call."""
+    return fn(*args) if frames == 0 else _at_depth(frames - 1, fn, *args)
+
+
+def _refusal(path) -> str:
+    with pytest.raises(ScenarioValidationError) as err:
+        load_file(path)
+    return str(err.value)
+
+
+def test_a_refusal_reads_the_same_from_any_stack_depth(tmp_path):
+    # The violation quotes a value nested 200 levels; how it is quoted does
+    # not depend on the frames beneath the load.
+    doc = json.loads((PRESETS_DIR / "stern-gerlach.json").read_text(encoding="utf-8"))
+    doc["state"] = {"kind": "pure", "vector": json.loads("[" * 200 + "1" + "]" * 200)}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    message = on_fresh_stack(_refusal, path)
+    assert message == f"{path}: schema violation at $.state.vector[0]: {'[' * 32}[...]{']' * 32} is too short"
+    assert _at_depth(500, _refusal, path) == message
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,12 @@
 """Differential tests of the structure check against jsonschema.
 
-The loader decides structure with its own acceptor, which reads the
+The loader decides structure with its own validator, which reads the
 schema's keywords and checks each numeric payload (state `weights`,
-`vector`, `matrix` and channel `vectors`) in one pass of its own; only a
-document it refuses goes to jsonschema, for the message and path. Each
-example mutates a shipped or seeded scenario, in its payloads or in the
-fields around them, and loads it twice: as the loader does, and with the
-structure check replaced by full-document jsonschema validation. Both must
-accept the document, or refuse it with the same exception class, message
-and JSON path, and the acceptor may accept only what jsonschema accepts.
+`vector`, `matrix` and channel `vectors`) in one pass of its own; jsonschema
+is the oracle here and nowhere else. Each example mutates a shipped or
+seeded scenario, in its payloads or in the fields around them. The
+validator must refuse exactly the documents jsonschema refuses, and name a
+node of the document with the message of one of jsonschema's errors there.
 """
 
 import copy
@@ -22,7 +20,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from qprob import scenario
 from qprob.errors import QprobError, ScenarioValidationError
@@ -144,37 +141,62 @@ def mutated_documents(draw):
     return doc
 
 
-def _full_validation(doc, origin):
-    error = best_match(Draft202012Validator(schema_document()).iter_errors(doc))
-    if error is not None:
-        where = error.json_path if error.json_path != "$" else "document root"
-        raise ScenarioValidationError(f"{origin}: schema violation at {where}: {error.message}", error.json_path)
+# The validator names a false subschema under "properties" at the property;
+# jsonschema names it at the object around the property.
+FALSE_PROPERTY = "False schema does not allow "
 
 
-def _outcome(path):
+def _messages(errors, found: dict) -> dict[str, set[str]]:
+    """json path -> the messages of jsonschema's errors there, counting the
+    errors nested in each error's context."""
+    for error in errors:
+        found.setdefault(error.json_path, set()).add(error.message)
+        _messages(error.context, found)
+    return found
+
+
+def _json_path(path) -> str:
+    return "$" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+
+
+def _load(file: Path, doc) -> QprobError | None:
+    """The error loading `doc` from `file` raises, if any; any other
+    exception fails the test."""
+    file.write_text(json.dumps(doc), encoding="utf-8")
     try:
-        load_file(path)
+        load_file(file)
     except QprobError as exc:
-        return type(exc), str(exc), getattr(exc, "json_path", None)
+        return exc
     return None
 
 
-def _check_against_full_validation(doc):
-    if scenario._accepts(doc):
-        assert Draft202012Validator(schema_document()).is_valid(doc)
+def _check_against_jsonschema(doc):
+    validator = Draft202012Validator(schema_document())
+    found = scenario._violation(doc, scenario._schema())
+    assert (found is None) == validator.is_valid(doc)
+    # Accepted or refused, the document loads end to end or stops at a named
+    # error; a refusal is the violation found, as the loader words it.
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "mutated.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        outcome = _outcome(path)
-        with mock.patch.object(scenario, "_validate_structure", _full_validation):
-            reference = _outcome(path)
-    assert outcome == reference
+        file = Path(tmp) / "mutated.json"
+        outcome = _load(file, doc)
+    if found is None:
+        assert "schema violation" not in str(outcome)
+        return
+    path, message = found
+    _get(doc, path)  # a node of the document
+    assert isinstance(outcome, ScenarioValidationError)
+    assert str(outcome) == f"{file}: schema violation at {_json_path(path) if path else 'document root'}: {message}"
+    assert outcome.json_path == _json_path(path)
+    if message.startswith(FALSE_PROPERTY):
+        assert isinstance(path[-1], str)
+        path = path[:-1]
+    assert message in _messages(validator.iter_errors(doc), {}).get(_json_path(path), set())
 
 
-@settings(derandomize=True, max_examples=250, deadline=None)
+@settings(derandomize=True, max_examples=1000, deadline=None)
 @given(doc=mutated_documents())
 def test_payload_mutations_agree_with_full_validation(doc):
-    _check_against_full_validation(doc)
+    _check_against_jsonschema(doc)
 
 
 def _identifier_sites(doc) -> list[tuple]:
@@ -254,46 +276,114 @@ def mutated_fields(draw):
     return doc
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(derandomize=True, max_examples=1000, deadline=None)
 @given(doc=mutated_fields())
 def test_field_mutations_agree_with_full_validation(doc):
-    _check_against_full_validation(doc)
+    _check_against_jsonschema(doc)
 
 
-def test_the_acceptor_accepts_every_shipped_and_seeded_document():
-    # Accepted without jsonschema's help: the fallback is for refusals.
+def test_the_validator_accepts_every_shipped_and_seeded_document():
     for name, doc in ACCEPTED.items():
-        assert scenario._accepts(doc), name
+        assert scenario._violation(doc, scenario._schema()) is None, name
 
 
-def test_the_acceptor_leaves_what_it_cannot_read_to_jsonschema():
-    # jsonschema reads 2.0 as an integer and True == 1 as Python does not;
-    # an unknown keyword or a longer chain of subschemas may assert anything.
-    schema, depth = scenario._schema()
-    assert scenario._verdict(2.0, {"type": "integer"}, depth) is None
-    assert scenario._verdict(2.5, {"type": "integer"}, depth) is False
-    assert scenario._verdict(True, {"type": "number"}, depth) is False
-    assert scenario._verdict(2.0, {"enum": [2, "e"]}, depth) is None
-    assert scenario._verdict(True, {"enum": [1]}, depth) is None
-    assert scenario._verdict("x", {"type": "string", "format": "date"}, depth) is None
-    assert scenario._verdict([[[1]]], {"items": {"items": {"items": {"type": "number"}}}}, 3) is None
-    assert scenario._verdict([[[1]]], {"items": {"items": {"items": {"type": "number"}}}}, 4) is True
-    assert scenario._verdict({"kind": "pure"}, {"oneOf": [{"required": ["kind"]}, {"format": "x"}]}, depth) is None
-    assert scenario._verdict({"kind": "pure"}, {"oneOf": [{"required": ["kind"]}, True]}, depth) is False
+# Values that json schema reads otherwise than Python does (2.0 is an
+# integer, a bool equals only a bool, 2.0 equals 2, key order does not
+# count), nesting, and messages the mutations above do not reach.
+EDGE_CASES = [
+    (2.0, {"type": "integer"}),
+    (2.5, {"type": "integer"}),
+    (True, {"type": "number"}),
+    (True, {"type": "integer"}),
+    (2.0, {"enum": [2, "e"]}),
+    (True, {"enum": [1]}),
+    (1, {"enum": [True]}),
+    ([1.0, {"a": [2]}], {"const": [1, {"a": [2.0]}]}),
+    ({"a": 1, "b": 2}, {"const": {"b": 2, "a": 1}}),
+    ([True], {"const": [1]}),
+    ([1, True], {"uniqueItems": True}),
+    ([1, 1.0], {"uniqueItems": True}),
+    ([[1], [True]], {"uniqueItems": True}),
+    ([{"a": 1, "b": [2]}, {"b": [2.0], "a": 1}], {"uniqueItems": True}),
+    ([{"a": 1}, {"a": 1, "b": 1}], {"uniqueItems": True}),
+    ([[[1]]], {"items": {"items": {"items": {"type": "number"}}}}),
+    ([[["1"]]], {"items": {"items": {"items": {"type": "number"}}}}),
+    ({"kind": "pure"}, {"oneOf": [{"required": ["kind"]}, {"required": ["vector"]}]}),
+    ({"kind": "pure"}, {"oneOf": [{"required": ["kind"]}, True, {"required": ["kind"]}]}),
+    ({}, {"oneOf": [{"required": ["kind"]}, {"required": ["vector"]}]}),
+    ({"a": []}, {"oneOf": [{"required": ["b"]}, {"properties": {"a": {"minItems": 1}}}]}),
+    ([1, 2, 3], {"prefixItems": [{}], "items": False}),
+    ([1, 2], {"prefixItems": [{}], "items": False}),
+    ([1, 2, 3], {"prefixItems": [{}, {}], "items": False}),
+    ([1, "2"], {"prefixItems": [{}], "items": {"type": "number"}}),
+    ({"a": 1}, {"additionalProperties": {"type": "string"}}),
+    ({"a": 1, "c": 2, "b": 3}, {"properties": {"c": {}}, "additionalProperties": False}),
+    ([1], {"maxItems": 0}),
+    ([], {"minItems": 1}),
+    ([1], {"minItems": 2}),
+    (3, {"maximum": 2}),
+]
+
+
+def test_the_validator_reads_values_as_json_schema_does():
+    for value, schema in EDGE_CASES:
+        validator = Draft202012Validator(schema)
+        found = scenario._violation(value, schema)
+        assert (found is None) == validator.is_valid(value), (value, schema)
+        if found is not None:
+            messages = _messages(validator.iter_errors(value), {}).get(_json_path(found[0]), set())
+            assert found[1] in messages, (value, schema, found)
+
+
+def test_a_one_of_names_its_deepest_failing_branch_else_itself():
+    one_of = {"oneOf": [{"required": ["a"]}, {"required": ["b"], "properties": {"b": {"type": "string"}}}]}
+    assert scenario._violation({"b": 1}, one_of) == (("b",), "1 is not of type 'string'")
+    assert scenario._violation({}, one_of) == ((), "{} is not valid under any of the given schemas")
 
 
 def test_the_payload_shapes_are_what_the_generic_reading_decides():
-    # The acceptor checks the four payload subschemas with _well_formed; its
+    # The validator passes the payload subschemas with _well_formed; its
     # keyword reading of the same subschemas must agree with it.
-    schema, depth = scenario._schema()
-    for name, doc in ACCEPTED.items():
-        with mock.patch.object(scenario, "_PAYLOADS", ()):
-            assert scenario._verdict(doc, schema, 2 * depth) is True, name
-    for payload in ([], [1, [2]], [[1, 2, 3]], [[1, True]], [[[1, 0]], []], [["1", 0]], [[[1, 0], [0]]]):
-        for shape, payload_depth in scenario._PAYLOADS:
-            fast = scenario._well_formed(payload, payload_depth)
-            with mock.patch.object(scenario, "_PAYLOADS", ()):
-                assert scenario._verdict(payload, shape, 2 * depth) is fast, (payload, shape)
+    payloads = scenario._PAYLOADS
+    with mock.patch.object(scenario, "_PAYLOADS", ()):
+        for name, doc in ACCEPTED.items():
+            assert scenario._violation(doc, scenario._schema()) is None, name
+        for payload in ([], [1, [2]], [[1, 2, 3]], [[1, True]], [[[1, 0]], []], [["1", 0]], [[[1, 0], [0]]]):
+            for shape, depth in payloads:
+                fast = scenario._well_formed(payload, depth)
+                assert (scenario._violation(payload, shape) is None) is fast, (payload, shape)
+
+
+# Keywords whose values hold subschemas: one, a list of them, or a map from
+# names to them.
+ONE_SUBSCHEMA = {"items", "additionalProperties", "if", "then", "else"}
+SUBSCHEMA_LIST = {"prefixItems", "oneOf", "allOf"}
+SUBSCHEMA_MAP = {"properties", "$defs"}
+
+
+def _subschemas(schema):
+    todo = [schema]
+    while todo:
+        node = todo.pop()
+        yield node
+        for key, value in node.items() if isinstance(node, dict) else ():
+            if key in ONE_SUBSCHEMA:
+                todo.append(value)
+            elif key in SUBSCHEMA_LIST:
+                todo.extend(value)
+            elif key in SUBSCHEMA_MAP:
+                todo.extend(value.values())
+
+
+def test_the_validator_reads_every_keyword_of_the_schema():
+    # A keyword the validator neither checks nor knows to be passive would be
+    # a rule it does not enforce.
+    subschemas = [node for node in _subschemas(schema_document()) if isinstance(node, dict)]
+    assert {key for node in subschemas for key in node} <= scenario._KEYWORDS.keys() | scenario._PASSIVE
+    assert {node["type"] for node in subschemas if "type" in node} <= scenario._TYPES.keys()
+    assert all(node["$ref"].startswith("#/") for node in subschemas if "$ref" in node)
+    for applicator in ONE_SUBSCHEMA | SUBSCHEMA_LIST | SUBSCHEMA_MAP:
+        assert applicator in scenario._KEYWORDS.keys() | scenario._PASSIVE
 
 
 def test_shipped_documents_are_valid_under_the_full_schema():
@@ -303,7 +393,7 @@ def test_shipped_documents_are_valid_under_the_full_schema():
 
 
 def test_payload_subschemas_are_the_shapes_the_loader_walks():
-    # The acceptor checks these shapes with scenario._well_formed instead of
+    # The validator passes these shapes with scenario._well_formed instead of
     # reading their keywords; a rule added here must be added there.
     schema = schema_document()
     vector = {"$ref": "#/$defs/vector"}
