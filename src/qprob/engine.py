@@ -92,8 +92,8 @@ class ProbabilityOperator:
     def __post_init__(self, blocks):
         if self.matrix.space != self.space:
             raise SpaceMismatchError(f"matrix on {self.matrix.space} does not live on {self.space}")
-        a = self.matrix.entries
-        object.__setattr__(self, "checks", _require_invariants(a, cheb_norm(a - a.conj().T), blocks))
+        skew = structure_check(self.matrix, "hermitian").residual
+        object.__setattr__(self, "checks", _require_invariants(self.matrix.entries, skew, blocks))
 
     # -- constructors -------------------------------------------------
 
@@ -138,13 +138,10 @@ def _require_invariants(a: np.ndarray, skew: float, blocks=None) -> tuple[Struct
     must = "probability operator must"
     herm = StructureReport("hermitian", skew, HERMITIAN_TOL).require(f"{must} be hermitian")
     trace = StructureReport("unit-trace", abs(complex(np.trace(a)) - 1.0), TRACE_TOL).require(f"{must} have unit trace")
-    if blocks is None:
-        deficit = _psd_deficit(a)
-    else:  # one batched eigendecomposition per block shape
-        stacks: dict[tuple[int, ...], list[np.ndarray]] = {}
-        for b in filter(np.size, blocks):  # an empty block adds no eigenvalue
-            stacks.setdefault(b.shape[-2:], []).append(b.reshape(-1, *b.shape[-2:]))
-        deficit = max(_psd_deficit(np.concatenate(s)) for s in stacks.values())
+    stacks: dict[tuple[int, ...], list[np.ndarray]] = {}  # one batched eigendecomposition per block shape
+    for b in filter(np.size, (a,) if blocks is None else blocks):  # an empty block adds no eigenvalue
+        stacks.setdefault(b.shape[-2:], []).append(b.reshape(-1, *b.shape[-2:]))
+    deficit = max(_psd_deficit(np.concatenate(s)) for s in stacks.values())
     return herm, trace, StructureReport("psd", max(skew, deficit), PSD_TOL).require(f"{must} be positive semidefinite")
 
 
@@ -465,17 +462,10 @@ class CorrelationReport:
         n, k = jm.values.shape
         off_mass = float(jm.values.sum() - np.trace(jm.values[: min(n, k), : min(n, k)]))
         marginals = jm.row_marginals()
-        worst = 0.0
-        skipped: list[int] = []
-        for i in range(n):
-            if marginals[i] <= threshold:
-                skipped.append(i)
-                continue
-            row = jm.values[i] / marginals[i]
-            for j in range(k):
-                want = 1.0 if i == j else 0.0
-                worst = max(worst, abs(row[j] - want))
-        return cls(n, k, off_mass, worst, tuple(skipped), tol)
+        kept = marginals > threshold
+        rows = jm.values[kept] / marginals[kept, None]
+        worst = float(np.abs(rows - np.eye(n, k)[kept]).max(initial=0.0))
+        return cls(n, k, off_mass, worst, tuple(np.flatnonzero(~kept).tolist()), tol)
 
     @property
     def counts_match(self) -> bool:

@@ -358,7 +358,8 @@ def structure_check(m: Op, kind: str, tol: float = INVARIANT_TOL) -> StructureRe
     if kind not in STRUCTURE_KINDS:
         raise ValueError(f"unknown structure kind {kind!r}, expected one of {STRUCTURE_KINDS}")
     a = m.entries
-    herm = cheb_norm(a - a.conj().T)
+    with np.errstate(over="ignore"):  # a residual past the float range reads as the largest float
+        herm = min(cheb_norm(a - a.conj().T), sys.float_info.max)
     if kind == "hermitian":
         residual = herm
     elif kind == "unitary":

@@ -115,17 +115,6 @@ class Scenario:
 
 
 def _parse(text: str, origin: str) -> dict:
-    # Plain json.loads reads every number at C speed. When it fails, or
-    # reads a number that is not finite, the hooked reading decides, which
-    # refuses the first offending literal in the text with its own message.
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError):  # json.JSONDecodeError is a ValueError
-        return _parse_hooked(text, origin)
-    return doc if _finite(doc) else _parse_hooked(text, origin)
-
-
-def _parse_hooked(text: str, origin: str) -> dict:
     # json accepts NaN and +-Infinity, and reads an overflowing literal such
     # as 1e999 as inf; no scenario quantity may be non-finite.
     def non_finite(literal: str):
@@ -159,32 +148,6 @@ def _parse_hooked(text: str, origin: str) -> dict:
 
 
 _NUMBER_TYPES = {int, float}  # what json reads a number as; bool is neither
-
-
-def _finite(doc) -> bool:
-    """Whether every number in `doc` is surely finite. The numbers of a list,
-    or of a list of lists, are summed at C speed; a sum that overflows, or
-    an integer past the float range, answers False as inf and nan do."""
-    todo = [doc]
-    while todo:
-        node = todo.pop()
-        if type(node) is dict:
-            todo.extend(node.values())
-        elif type(node) is list:
-            for numbers in (node, chain.from_iterable(node)):
-                try:
-                    if not math.isfinite(sum(numbers)):
-                        return False
-                    break
-                except TypeError:  # not all numbers
-                    continue
-                except OverflowError:
-                    return False
-            else:
-                todo.extend(node)
-        elif type(node) is float and not math.isfinite(node):
-            return False
-    return True
 
 
 # The numeric payload subschemas and their nesting depth (1: numbers, 2:

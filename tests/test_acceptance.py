@@ -449,6 +449,7 @@ MALFORMED_NEEDLES = {
     "24_overflowing_weights.json": "diagonal weight total overflows a float",
     "25_overflowing_psd_weights.json": "positive semidefinite: residual 1.700e+308",
     "26_overflowing_psd_matrix.json": "positive semidefinite: residual 1.798e+308",
+    "27_overflowing_hermitian_residual.json": "hermitian: residual 1.798e+308",
 }
 
 
@@ -507,4 +508,4 @@ def test_criterion_10_determinism_and_rejection(capsys):
         needle = MALFORMED_NEEDLES.get(path.name, "")
         if needle and needle not in err:
             failures.append(f"{path.name}: stderr does not name the violation ({needle!r})")
-    report(10, "byte-determinism across presets/commands/formats; 26 malformed files rejected", failures)
+    report(10, "byte-determinism across presets/commands/formats; 27 malformed files rejected", failures)

@@ -6,6 +6,7 @@ from qprob import (
     CorrelationReport,
     Eventuality,
     HilbertSpace,
+    JointProbabilityMatrix,
     Observable,
     Op,
     PSD_TOL,
@@ -417,6 +418,38 @@ def test_correlation_report_of_a_joint_table_matches_correlation_check():
         report = CorrelationReport.of(jm, tol, threshold)
         assert report == correlation_check(CAT_STATE, *lifted, tol=tol, threshold=threshold)
     assert CorrelationReport.of(jm, 0.2, 0.5).skipped_rows == (0, 1)  # both marginals are 0.5
+
+
+def _correlation_by_loop(jm, tol, threshold):
+    """CorrelationReport.of as a loop over rows and cells: the oracle."""
+    n, k = jm.values.shape
+    marginals = jm.row_marginals()
+    worst, skipped = 0.0, []
+    for i in range(n):
+        if marginals[i] <= threshold:
+            skipped.append(i)
+            continue
+        row = jm.values[i] / marginals[i]
+        for j in range(k):
+            worst = max(worst, abs(row[j] - (1.0 if i == j else 0.0)))
+    off_mass = float(jm.values.sum() - np.trace(jm.values[: min(n, k), : min(n, k)]))
+    return CorrelationReport(n, k, off_mass, worst, tuple(skipped), tol)
+
+
+def test_correlation_report_of_matches_the_row_loop():
+    rng = np.random.default_rng(44)
+    shapes = [(n, k) for n in range(1, 7) for k in range(1, 7)]
+    for trial in range(300):
+        n, k = shapes[trial % len(shapes)]
+        values = rng.random((n, k)) * (rng.random((n, 1)) < 0.7)  # some rows have marginal 0
+        values[rng.integers(n), rng.integers(k)] += 1e-3  # never all zero
+        rows, cols = basis_observable(HilbertSpace(n)), basis_observable(HilbertSpace(k))
+        jm = JointProbabilityMatrix(rows, cols, values / values.sum())
+        for threshold in (0.0, 1e-12, 0.2, 1.5):  # past 1 every row is skipped
+            report = CorrelationReport.of(jm, 0.1, threshold)
+            assert report == _correlation_by_loop(jm, 0.1, threshold), (n, k, threshold)
+            if threshold > 1:
+                assert report.skipped_rows == tuple(range(n)) and report.max_conditional_deviation == 0.0
 
 
 def test_spectral_observable_feeds_joint():

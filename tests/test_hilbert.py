@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -296,6 +298,14 @@ def test_structure_check_hermitian():
     bad = structure_check(Op(S2, [[0, 0.3], [0, 0]]), "hermitian")
     assert not bad.passed
     assert bad.residual == pytest.approx(0.3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hermitian_residual_past_the_float_range_reads_as_the_largest_float():
+    # 1.7e308 - (-1.7e308) overflows; the residual is still a finite number.
+    report = structure_check(Op(S2, [[0.5, 1.7e308], [-1.7e308, 0.5]]), "hermitian")
+    assert report.residual == sys.float_info.max
+    assert not report.passed
 
 
 def test_structure_check_unitary():

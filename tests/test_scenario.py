@@ -19,6 +19,7 @@ from qprob import (
 from qprob import scenario
 from qprob.cli import main
 from tests.helpers import on_fresh_stack
+from tests.test_eigen_sites import SRC, _sites
 
 MALFORMED = Path(__file__).parent / "data" / "malformed"
 
@@ -162,6 +163,7 @@ MALFORMED_EXPECTATIONS = [
     ("24_overflowing_weights.json", "state: probability operator must have unit trace: diagonal weight total"),
     ("25_overflowing_psd_weights.json", "probability operator must be positive semidefinite: residual 1.700e+308"),
     ("26_overflowing_psd_matrix.json", "probability operator must be positive semidefinite: residual 1.798e+308"),
+    ("27_overflowing_hermitian_residual.json", "probability operator must be hermitian: residual 1.798e+308"),
 ]
 # Numbers a float cannot hold, and nesting the decoder cannot follow, are
 # refused as read, not as invariant violations.
@@ -197,6 +199,18 @@ def test_entries_near_the_float_limit_are_one_finite_psd_error(capsys, filename,
     assert captured.err == (
         f"qprob: error: {path}: state: probability operator must be positive semidefinite: "
         f"residual {residual} exceeds 1e-10\n"
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_hermitian_residual_past_the_float_range_is_one_finite_error(capsys):
+    # 1.7e308 - (-1.7e308) overflows; the residual reads as the largest float.
+    path = MALFORMED / "27_overflowing_hermitian_residual.json"
+    assert main(["validate", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"qprob: error: {path}: state: probability operator must be hermitian: residual 1.798e+308 exceeds 1e-10\n"
     )
 
 
@@ -239,11 +253,10 @@ def test_validation_errors_carry_the_json_path(filename, json_path):
     assert err.value.json_path == json_path
 
 
-# Numbers refused as read. The loader reads with plain json.loads and, on a
-# failure or a non-finite number, reads again through the parse hooks, so
-# the first offending literal in the text still wins over any later
-# problem, with the message and exit status it had when every number went
-# through a hook.
+# Numbers refused as read. The loader reads the text once, front to back,
+# with a hook on every number, so whichever comes first in the text, an
+# offending literal or a syntax error, is the error named (exit 1), ahead
+# of any schema problem.
 PRESETS_DIR = Path(__file__).resolve().parent.parent / "src" / "qprob" / "presets"
 SOURCE_TEXTS = {
     "stern-gerlach": (PRESETS_DIR / "stern-gerlach.json").read_text(encoding="utf-8"),
@@ -304,8 +317,17 @@ def test_parse_errors_keep_their_precedence(tmp_path, capsys, source, old, new, 
         '{"a": [[[1, 2]], [3.5]], "b": [true, null, "x"]}',
     ],
 )
-def test_plain_parse_reads_what_the_hooked_parse_reads(text):
-    assert scenario._parse(text, "doc") == scenario._parse_hooked(text, "doc")
+def test_parse_hooks_change_no_value(text):
+    assert scenario._parse(text, "doc") == json.loads(text)
+
+
+def test_the_loader_decodes_json_in_one_place():
+    # The scenario text is decoded by _parse alone, the schema file by
+    # schema_document; no second reader of a document may grow beside them.
+    text = (SRC / "scenario.py").read_text(encoding="utf-8")
+    assert _sites(text, "loads") == ["schema_document", "_parse"]
+    for name in ("load", "JSONDecoder", "raw_decode"):
+        assert _sites(text, name) == [], name
 
 
 def test_pure_state_scenario(tmp_path):
