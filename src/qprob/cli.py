@@ -241,10 +241,6 @@ def _validation_sections(scn: Scenario, opts: Options) -> list:
     return sections
 
 
-def _cmd_validate(scn: Scenario, opts: Options) -> Report:
-    return Report(f"validate: scenario '{scn.name}'", tuple(_validation_sections(scn, opts)))
-
-
 def _correlation_section(scn: Scenario, opts: Options, joint: tuple | None = None) -> TextLines:
     """The correlation check between the first observables of the two
     factors. `joint` is a (rows, cols, table) triple already computed; its
@@ -272,13 +268,13 @@ def _correlation_section(scn: Scenario, opts: Options, joint: tuple | None = Non
     return TextLines("correlation check", tuple(lines))
 
 
-def _cmd_check(scn: Scenario, opts: Options) -> Report:
+def _cmd_check(scn: Scenario, opts: Options) -> list:
     sections = _validation_sections(scn, opts)
     sections.append(_correlation_section(scn, opts))
-    return Report(f"check: scenario '{scn.name}'", tuple(sections))
+    return sections
 
 
-def _cmd_gross(scn: Scenario, opts: Options) -> Report:
+def _cmd_gross(scn: Scenario, opts: Options) -> list:
     sections = []
     if scn.is_classical:
         labels = tuple(e.id for e in scn.events)
@@ -296,7 +292,7 @@ def _cmd_gross(scn: Scenario, opts: Options) -> Report:
                     f"expectation of '{sobs.id}'",
                     (f"value: {format_number(value, opts.precision)}",),
                 ))
-    return Report(f"gross: scenario '{scn.name}'", tuple(sections))
+    return sections
 
 
 def _joint(scn: Scenario, rows: ScenarioObservable, cols: ScenarioObservable,
@@ -311,17 +307,17 @@ def _joint_table(rows: ScenarioObservable, cols: ScenarioObservable,
     return RenderedTable(caption, rows.observable.labels, cols.observable.labels, _clamp(jm.values))
 
 
-def _cmd_joint(scn: Scenario, opts: Options) -> Report:
+def _cmd_joint(scn: Scenario, opts: Options) -> list:
     rows = _observable(scn, opts.rows) if opts.rows else _factor_observable(scn, 0, "joint")
     cols = _observable(scn, opts.cols) if opts.cols else _factor_observable(scn, 1, "joint")
     if rows.id == cols.id:
         raise IncompatibleCommandError("row and column observables must differ")
     jm = _joint(scn, rows, cols, opts)
     table = _joint_table(rows, cols, jm, f"joint probabilities: rows '{rows.id}', columns '{cols.id}'")
-    return Report(f"joint: scenario '{scn.name}'", (table, _correlation_section(scn, opts, (rows, cols, jm))))
+    return [table, _correlation_section(scn, opts, (rows, cols, jm))]
 
 
-def _cmd_conditional(scn: Scenario, opts: Options) -> Report:
+def _cmd_conditional(scn: Scenario, opts: Options) -> list:
     if opts.given:
         sobs, index = _channel_ref(scn, opts.given, "--given")
         if opts.target:
@@ -339,7 +335,7 @@ def _cmd_conditional(scn: Scenario, opts: Options) -> Report:
             target.observable.labels,
             _clamp(probs)[None, :],
         )
-        return Report(f"conditional: scenario '{scn.name}'", (table,))
+        return [table]
 
     rows = _factor_observable(scn, 0, "conditional")
     target = _factor_observable(scn, 1, "conditional")
@@ -364,10 +360,10 @@ def _cmd_conditional(scn: Scenario, opts: Options) -> Report:
             "skipped rows",
             tuple(f"'{rows.id}:{lbl}': zero probability, cannot condition" for lbl in skipped),
         ))
-    return Report(f"conditional: scenario '{scn.name}'", tuple(sections))
+    return sections
 
 
-def _cmd_collapse(scn: Scenario, opts: Options) -> Report:
+def _cmd_collapse(scn: Scenario, opts: Options) -> list:
     sobs, index = _channel_ref(scn, opts.on, "--on")
     result = collapse(scn.state, sobs.observable.channels[index], comp=scn.composite)
     label = f"{sobs.id}:{sobs.observable.labels[index]}"
@@ -379,10 +375,10 @@ def _cmd_collapse(scn: Scenario, opts: Options) -> Report:
         ),
     )
     table = _operator_table(f"a-posteriori operator given '{label}'", result.operator.matrix)
-    return Report(f"collapse: scenario '{scn.name}'", (lines, table))
+    return [lines, table]
 
 
-def _cmd_luder(scn: Scenario, opts: Options) -> Report:
+def _cmd_luder(scn: Scenario, opts: Options) -> list:
     sobs = _observable(scn, opts.obs) if opts.obs else scn.observables[0]
     result = luder(scn.state, sobs.observable, comp=scn.composite)
     table = _probability_table(
@@ -391,10 +387,10 @@ def _cmd_luder(scn: Scenario, opts: Options) -> Report:
         born(result, sobs.observable, comp=scn.composite),
     )
     op_table = _operator_table("decohered operator", result.matrix)
-    return Report(f"luder: scenario '{scn.name}'", (table, op_table))
+    return [table, op_table]
 
 
-def _cmd_branches(scn: Scenario, opts: Options) -> Report:
+def _cmd_branches(scn: Scenario, opts: Options) -> list:
     sobs = _observable(scn, opts.obs) if opts.obs else scn.observables[0]
     labels = sobs.observable.labels
     bd = branch_decompose(scn.state, sobs.observable, comp=scn.composite)
@@ -412,10 +408,10 @@ def _cmd_branches(scn: Scenario, opts: Options) -> Report:
     for label, post in zip(labels, bd.posteriors):
         if post is not None:
             sections.append(_operator_table(f"branch '{label}': a-posteriori operator", post.matrix))
-    return Report(f"branches: scenario '{scn.name}'", tuple(sections))
+    return sections
 
 
-def _cmd_net(scn: Scenario, opts: Options) -> Report:
+def _cmd_net(scn: Scenario, opts: Options) -> list:
     if not scn.observers:
         raise IncompatibleCommandError(f"scenario {scn.name!r} defines no observers")
     if scn.weighting is None:
@@ -476,10 +472,10 @@ def _cmd_net(scn: Scenario, opts: Options) -> Report:
         "totals",
         (f"net total: {format_number(table.grand_total(), opts.precision)}",),
     ))
-    return Report(f"net: scenario '{scn.name}'", tuple(sections))
+    return sections
 
 
-def _cmd_lifetime(scn: Scenario, opts: Options) -> Report:
+def _cmd_lifetime(scn: Scenario, opts: Options) -> list:
     if scn.lifetime_profile is None:
         raise IncompatibleCommandError(f"scenario {scn.name!r} defines no lifetime profile")
     base = _log_base(scn, opts)
@@ -503,7 +499,7 @@ def _cmd_lifetime(scn: Scenario, opts: Options) -> Report:
         "summary",
         (f"most likely segment: {dist.argmax_segment + 1} of {len(labels)}",),
     )
-    return Report(f"lifetime: scenario '{scn.name}'", (table, lines))
+    return [table, lines]
 
 
 # -- the command table ---------------------------------------------------
@@ -511,7 +507,7 @@ def _cmd_lifetime(scn: Scenario, opts: Options) -> Report:
 
 @dataclass(frozen=True)
 class _Command:
-    handler: Callable[[Scenario, Options], Report]
+    handler: Callable[[Scenario, Options], list]  # the sections of the command's report
     help: str
     # "quantum", "composite" (a quantum scenario with two or more factors) or None
     needs: str | None = None
@@ -522,7 +518,7 @@ class _Command:
 _OBS_FLAG = {"--obs": dict(metavar="OBS", help="observable id (default: first declared)")}
 
 _COMMANDS = {
-    "validate": _Command(_cmd_validate, "report scenario validation residuals"),
+    "validate": _Command(_validation_sections, "report scenario validation residuals"),
     "gross": _Command(_cmd_gross, "per-channel probabilities of every observable"),
     "joint": _Command(_cmd_joint, "joint probability table over two factors", "composite", {
         "--rows": dict(metavar="OBS", help="row observable id (default: first on factor 1)"),
@@ -554,7 +550,7 @@ def run_command(command: str, scn: Scenario, opts: Options) -> Report:
         raise IncompatibleCommandError(f"command {command!r} needs a quantum scenario; {scn.name!r} is classical")
     if spec.needs == "composite" and (scn.composite is None or len(scn.composite.factors) < 2):
         raise IncompatibleCommandError(f"command {command!r} needs a composite scenario with at least two factors")
-    return spec.handler(scn, opts)
+    return Report(f"{command}: scenario '{scn.name}'", tuple(spec.handler(scn, opts)))
 
 
 def main(argv=None) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import threading
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from importlib import resources
@@ -114,6 +115,28 @@ class Scenario:
         return tuple(so for so in self.observables if so.observable.space == target)
 
 
+def _on_fresh_stack(read):
+    """read() on a new thread, whose stack starts out empty, so that how
+    deeply the decoder may recurse depends on the document alone and not on
+    the frames beneath the load. Its result is returned, or its error raised,
+    on the caller's thread."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((read(), None))
+        except BaseException as exc:
+            outcome.append((None, exc))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join()
+    value, error = outcome[0]
+    if error is not None:
+        raise error
+    return value
+
+
 def _parse(text: str, origin: str) -> dict:
     # json accepts NaN and +-Infinity, and reads an overflowing literal such
     # as 1e999 as inf; no scenario quantity may be non-finite.
@@ -136,7 +159,9 @@ def _parse(text: str, origin: str) -> dict:
             ) from None
 
     try:
-        return json.loads(text, parse_constant=non_finite, parse_float=finite_float, parse_int=bounded_int)
+        return _on_fresh_stack(
+            lambda: json.loads(text, parse_constant=non_finite, parse_float=finite_float, parse_int=bounded_int)
+        )
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"{origin}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -148,34 +173,6 @@ def _parse(text: str, origin: str) -> dict:
 
 
 _NUMBER_TYPES = {int, float}  # what json reads a number as; bool is neither
-
-
-# The numeric payload subschemas and their nesting depth (1: numbers, 2:
-# [re, im] pairs, 3: lists of pairs). The validator passes a payload that
-# _well_formed accepts, and reads any other keyword by keyword to find its
-# violation; tests/test_schema_payloads.py pins these shapes in the schema.
-_PAYLOADS = (
-    ({"type": "array", "minItems": 1, "items": {"type": "number"}}, 1),
-    ({"$ref": "#/$defs/vector"}, 2),
-    ({"type": "array", "minItems": 1, "items": {"$ref": "#/$defs/vector"}}, 3),
-)
-
-
-def _well_formed(node, depth: int) -> bool:
-    """Whether `node` is a payload the schema accepts: a non-empty list of
-    numbers, of number pairs, or of non-empty lists of pairs. Each leaf is
-    looked at once, at C speed."""
-    if type(node) is not list or not node:
-        return False
-    if depth == 1:
-        return set(map(type, node)) <= _NUMBER_TYPES
-    if depth == 3:
-        return all(_well_formed(row, 2) for row in node)
-    return (
-        set(map(type, node)) == {list}
-        and set(map(len, node)) == {2}
-        and set(map(type, chain.from_iterable(node))) <= _NUMBER_TYPES
-    )
 
 
 # The schema the validator reads, parsed once per process and never handed out.
@@ -229,9 +226,22 @@ def _additional_properties(node, rule, schema: dict, path: tuple):
     return path, f"Additional properties are not allowed ({names} unexpected)"
 
 
+def _scan(items, rule) -> bool:
+    """Whether a type scan at C speed passes every one of `items` under the
+    item rule `rule`; False where the scan cannot tell. Rows of pairs are
+    flattened into pairs, and pairs into numbers."""
+    if rule == {"$ref": "#/$defs/vector"} and set(map(type, items)) <= {list} and all(items):
+        items, rule = list(chain.from_iterable(items)), {"$ref": "#/$defs/complex"}
+    if rule == {"$ref": "#/$defs/complex"} and set(map(type, items)) <= {list} and set(map(len, items)) <= {2}:
+        items, rule = chain.from_iterable(items), {"type": "number"}
+    return rule == {"type": "number"} and set(map(type, items)) <= _NUMBER_TYPES
+
+
 def _items(node, rule, schema: dict, path: tuple):
     start = len(schema.get("prefixItems", ()))
     rest = node[start:] if type(node) is list else []
+    if _scan(rest, rule):
+        return None
     if rule is not False or not rest:
         return _first(_violation(item, rule, path + (i,)) for i, item in enumerate(rest, start))
     found = f"{len(rest)} extra: {_quote(rest if rest[1:] else rest[0])}"
@@ -319,8 +329,6 @@ def _violation(node, schema, path: tuple = ()) -> tuple[tuple, str] | None:
     level below where jsonschema names it."""
     if type(schema) is bool:
         return None if schema else (path, f"False schema does not allow {_quote(node)}")
-    if any(schema == shape and _well_formed(node, depth) for shape, depth in _PAYLOADS):
-        return None
     return _first(_KEYWORDS[key](node, rule, schema, path) for key, rule in schema.items() if key not in _PASSIVE)
 
 

@@ -55,10 +55,9 @@ def _log(x: float, log_base) -> float:
     raise ValueError(f"log base must be 2 or 'e', got {log_base!r}")
 
 
-def entropy_capacity(dim: int, channel_rank: int, log_base=2) -> float:
-    """Entropy capacity log(dim) - log(rank): the information in knowing
-    which of the dim/rank equal-rank channels holds. Requires
-    1 <= rank <= dim with rank dividing dim."""
+def _channel_count(dim: int, channel_rank: int) -> int:
+    """dim / rank, the number of equal-rank channels that fill dimension
+    dim. Requires 1 <= rank <= dim with rank dividing dim."""
     if not isinstance(dim, int) or dim < 1:
         raise ValueError(f"dimension must be a positive integer, got {dim!r}")
     if not isinstance(channel_rank, int) or channel_rank < 1:
@@ -67,6 +66,13 @@ def entropy_capacity(dim: int, channel_rank: int, log_base=2) -> float:
         raise ValueError(f"channel rank {channel_rank} exceeds dimension {dim}")
     if dim % channel_rank != 0:
         raise ValueError(f"channel rank {channel_rank} does not divide dimension {dim}")
+    return dim // channel_rank
+
+
+def entropy_capacity(dim: int, channel_rank: int, log_base=2) -> float:
+    """Entropy capacity log(dim) - log(rank): the information in knowing
+    which of the dim/rank equal-rank channels holds."""
+    _channel_count(dim, channel_rank)
     return _log(dim, log_base) - _log(channel_rank, log_base)
 
 
@@ -168,8 +174,12 @@ class ObserverModel(_EntropySource):
             rank = ranks[0]
             if rank == 0:
                 raise ValueError(f"observer {self.id!r}: perception channels must be non-null")
+            try:
+                count = _channel_count(self.observable.space.dim, rank)
+            except ValueError as exc:
+                raise ValueError(f"observer {self.id!r}: {exc}") from None
             object.__setattr__(self, "channel_rank", rank)
-            object.__setattr__(self, "branch_channels", self.observable.space.dim // rank)
+            object.__setattr__(self, "branch_channels", count)
 
 
 def weights_weak(observers) -> np.ndarray:

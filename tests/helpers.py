@@ -1,10 +1,24 @@
-"""Shared random generators for the test suite. Everything is seeded."""
+"""Shared generators for the test suite: seeded random operators and
+edited scenario files."""
 
+import json
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
 from qprob import Eventuality, HilbertSpace, Op, ProbabilityOperator, Vec
+
+PRESETS = Path(__file__).resolve().parent.parent / "src" / "qprob" / "presets"
+
+
+def variant(directory: Path, source: Path, edit) -> Path:
+    """The scenario file `source` after edit(doc), written to `directory`."""
+    doc = json.loads(source.read_text(encoding="utf-8"))
+    edit(doc)
+    path = directory / f"{source.stem}-variant.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
 
 
 def json_pairs(z) -> list:

@@ -1,3 +1,4 @@
+import ast
 import json
 from pathlib import Path
 
@@ -6,6 +7,8 @@ import pytest
 from qprob import load_preset
 from qprob.cli import Options, main, run_command
 from qprob.errors import IncompatibleCommandError
+from tests.helpers import PRESETS, variant
+from tests.test_eigen_sites import SRC
 
 MALFORMED = Path(__file__).parent / "data" / "malformed"
 MIDLIFE = Path(__file__).parent.parent / "scenarios" / "midlife.json"
@@ -372,3 +375,52 @@ def test_deterministic_double_runs(capsys):
         _, first, _ = run(capsys, "net", "--preset", "cat-master", "--format", fmt)
         _, second, _ = run(capsys, "net", "--preset", "cat-master", "--format", fmt)
         assert first == second
+
+
+def test_only_run_command_builds_a_report():
+    # Each handler returns its sections; the report and its title are made
+    # in one place.
+    calls = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            if isinstance(child, ast.Call) and "Report" in (getattr(child.func, "id", None),
+                                                           getattr(child.func, "attr", None)):
+                calls.append(f"{module}:{where}")
+            visit(child, module, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "<module>")
+    assert calls == ["cli.py:run_command"]
+
+
+def _without_cat_observable(doc):
+    doc["observables"].pop(1)
+
+
+# Requests a scenario cannot answer for what it lacks: (source, edit, argv, message).
+@pytest.mark.parametrize(
+    "source,edit,argv,message",
+    [
+        pytest.param("cat-box", _without_cat_observable, ["joint"],
+                     "command 'joint' needs an observable on factor 2 (cat)", id="joint-no-factor-observable"),
+        pytest.param("cat-box", _without_cat_observable, ["conditional", "--given", "reading:up"],
+                     "no observable on another factor to condition; pass --target", id="conditional-no-target"),
+        pytest.param("cat-master", lambda doc: doc.pop("weighting"), ["net"],
+                     "scenario 'cat-master' defines no weighting scheme", id="net-no-weighting"),
+        pytest.param("cat-master", lambda doc: doc["observers"].append({"id": "bystander", "branch_channels": 3}),
+                     ["net"], "observer 'bystander' has no perception observable; gross probabilities are undefined",
+                     id="net-observer-without-observable"),
+    ],
+)
+def test_what_a_scenario_lacks_is_an_input_error(tmp_path, capsys, source, edit, argv, message):
+    path = variant(tmp_path, PRESETS / f"{source}.json", edit)
+    assert run(capsys, *argv, "--scenario", str(path)) == (1, "", f"qprob: error: {message}\n")
+
+
+def test_the_correlation_check_needs_an_observable_on_each_factor(tmp_path, capsys):
+    path = variant(tmp_path, PRESETS / "cat-box.json", _without_cat_observable)
+    code, out, err = run(capsys, "check", "--scenario", str(path))
+    assert (code, err) == (0, "")
+    assert out.endswith("\ncorrelation check\n  not applicable: needs an observable on each factor\n")

@@ -1,10 +1,11 @@
 """Golden outputs: the CLI's exact stdout bytes and exit status, frozen.
 
 Covers every criterion-10 preset x command x format, the three collapse
-targets, the midlife lifetime scenario, a small scenario whose tables
-have complex cells and a D = 16 dense one whose operator tables have many
-rows of mixed real and complex cells. Requests that qprob refuses are frozen with their
-stderr too. A refactor that means to keep the output must pass
+targets, the midlife lifetime scenario, `net` under the proper and weak
+weighting schemes, a small scenario whose tables have complex cells and a
+D = 16 dense one whose operator tables have many rows of mixed real and
+complex cells. Requests that qprob refuses are frozen with their stderr
+too. A refactor that means to keep the output must pass
 this unchanged. A change that means to alter the output regenerates the
 file and shows the new bytes in review:
 
@@ -62,6 +63,9 @@ DENSE_COMMANDS = (
     ("branches", "--obs", "rot-b"),
 )
 DENSE_PRECISIONS = ("1", "17")
+# cat-master under the two other weighting schemes, whose weights captions
+# no preset prints.
+WEIGHTING_SCENARIOS = ("tests/data/cat_master_proper.json", "tests/data/cat_master_weak.json")
 
 # Requests qprob itself refuses: a command on a scenario of the wrong kind,
 # and flags naming what the scenario lacks. argparse usage errors are left
@@ -104,6 +108,8 @@ def golden_argvs() -> list[list[str]]:
     for command in DENSE_COMMANDS:
         argvs += [[*command, "--scenario", DENSE_SCENARIO, "--format", fmt] for fmt in FORMATS]
     argvs += [["luder", "--obs", "rot-b", "--scenario", DENSE_SCENARIO, "--precision", p] for p in DENSE_PRECISIONS]
+    for scenario in WEIGHTING_SCENARIOS:
+        argvs += [["net", "--scenario", scenario, "--format", fmt] for fmt in FORMATS]
     return argvs
 
 

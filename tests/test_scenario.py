@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +20,11 @@ from qprob import (
 )
 from qprob import scenario
 from qprob.cli import main
-from tests.helpers import on_fresh_stack
+from tests.helpers import PRESETS, json_pairs, on_fresh_stack, variant
 from tests.test_eigen_sites import SRC, _sites
 
 MALFORMED = Path(__file__).parent / "data" / "malformed"
+MIDLIFE = Path(__file__).resolve().parent.parent / "scenarios" / "midlife.json"
 
 
 def test_schema_document_shape():
@@ -228,13 +231,115 @@ def _refusal(path) -> str:
 def test_a_refusal_reads_the_same_from_any_stack_depth(tmp_path):
     # The violation quotes a value nested 200 levels; how it is quoted does
     # not depend on the frames beneath the load.
-    doc = json.loads((PRESETS_DIR / "stern-gerlach.json").read_text(encoding="utf-8"))
+    doc = json.loads((PRESETS / "stern-gerlach.json").read_text(encoding="utf-8"))
     doc["state"] = {"kind": "pure", "vector": json.loads("[" * 200 + "1" + "]" * 200)}
     path = tmp_path / "deep.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     message = on_fresh_stack(_refusal, path)
     assert message == f"{path}: schema violation at $.state.vector[0]: {'[' * 32}[...]{']' * 32} is too short"
     assert _at_depth(500, _refusal, path) == message
+
+
+def _nested_vector(directory: Path, levels: int) -> Path:
+    """The stern-gerlach preset with its pure state vector nested `levels` deep."""
+    state = {"kind": "pure", "vector": "@"}
+    path = variant(directory, PRESETS / "stern-gerlach.json", lambda doc: doc.update(state=state))
+    vector = "[" * levels + "1" + "]" * levels
+    path.write_text(path.read_text(encoding="utf-8").replace('"@"', vector), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "levels,code,message",
+    [
+        pytest.param(987, 2, f"schema violation at $.state.vector[0]: {'[' * 32}[...]{']' * 32} is too short",
+                     id="987-levels"),
+        pytest.param(988, 1, "parse error: nesting too deep to read", id="988-levels"),
+    ],
+)
+def test_how_deep_a_document_may_nest_depends_on_the_document_alone(tmp_path, capsys, levels, code, message):
+    # The decoder reads on a thread of its own, so the frames beneath the
+    # load, a test runner's or any others, do not move the boundary, and
+    # the command line gives the same verdict.
+    path = _nested_vector(tmp_path, levels)
+    want = f"qprob: error: {path}: {message}\n"
+    for frames in (0, 300):
+        assert _at_depth(frames, main, ["validate", "--scenario", str(path)]) == code
+        assert capsys.readouterr().err == want
+    run = subprocess.run(
+        [sys.executable, "-m", "qprob", "validate", "--scenario", str(path)], capture_output=True, text=True
+    )
+    assert (run.returncode, run.stderr) == (code, want)
+
+
+def test_a_parse_error_is_raised_on_the_callers_thread():
+    with pytest.raises(ScenarioParseError, match="^doc: parse error at line 1 column 2: ") as err:
+        scenario._parse("[}", "doc")
+    assert isinstance(err.value.__cause__, json.JSONDecodeError)
+
+
+COIN, STERN_GERLACH = PRESETS / "coin.json", PRESETS / "stern-gerlach.json"
+CAT_BOX, CAT_MASTER = PRESETS / "cat-box.json", PRESETS / "cat-master.json"
+# A rank-1 and a rank-3 channel that together cover the master's 4 dimensions.
+MIXED_RANKS = [
+    {"label": "one", "vectors": [json_pairs(np.eye(4)[0])]},
+    {"label": "three", "vectors": [json_pairs(np.eye(4)[k]) for k in (1, 2, 3)]},
+]
+
+
+@pytest.mark.parametrize(
+    "source,edit,message",
+    [
+        pytest.param(CAT_BOX, lambda doc: doc.update(composite=["detector", "detector"]),
+                     "composite lists a space id twice", id="composite-twice"),
+        pytest.param(CAT_BOX, lambda doc: doc.pop("composite"),
+                     "2 spaces declared but no composite factor order given", id="no-composite"),
+        pytest.param(CAT_BOX, lambda doc: doc["observables"][1].update(id="reading"),
+                     "duplicate observable id 'reading'", id="observable-id"),
+        pytest.param(CAT_BOX, lambda doc: doc["observables"][0]["channels"][1].update(label="up"),
+                     "observable 'reading': duplicate channel label 'up'", id="channel-label"),
+        pytest.param(STERN_GERLACH, lambda doc: doc["observables"][0].update(values=[1]),
+                     "observable 'alignment': 1 values for 2 channels", id="values-count"),
+        pytest.param(CAT_MASTER, lambda doc: doc["observers"][1].update(id="master"),
+                     "duplicate observer id 'master'", id="observer-id"),
+        pytest.param(CAT_MASTER, lambda doc: doc["observables"][0].update(channels=MIXED_RANKS),
+                     "observer 'master': perception channels must share one rank, got ranks [1, 3]",
+                     id="mixed-ranks"),
+        pytest.param(COIN, lambda doc: doc["events"][1].update(id="tails-up"),
+                     "duplicate event id 'tails-up'", id="event-id"),
+    ],
+)
+def test_semantic_refusals_name_what_repeats_or_does_not_fit(tmp_path, capsys, source, edit, message):
+    path = variant(tmp_path, source, edit)
+    assert main(["validate", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"qprob: error: {path}: {message}\n")
+
+
+def test_an_observer_may_give_its_branch_channels(tmp_path, capsys):
+    bystander = {"id": "bystander", "branch_channels": 3}
+    path = variant(tmp_path, CAT_MASTER, lambda doc: doc["observers"].append(bystander))
+    assert main(["validate", "--scenario", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert (
+        "\nobservers\n"
+        "  master: branch channels 4, lifetime 1, perception duration 1\n"
+        "  cat: branch channels 2, lifetime 1, perception duration 1\n"
+        "  bystander: branch channels 3, lifetime 1, perception duration 1\n\n"
+    ) in captured.out
+
+
+def test_a_lifetime_segment_may_give_its_entropy(tmp_path, capsys):
+    # An entropy of 20 bits reads as 2**20 branch channels do.
+    segment = {"duration": 20, "entropy": 20, "perception_duration": 1.0}
+    path = variant(tmp_path, MIDLIFE, lambda doc: doc["lifetime_profile"]["segments"].__setitem__(2, segment))
+    assert main(["lifetime", "--scenario", str(MIDLIFE)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["lifetime", "--scenario", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (expected, "")
+    assert "segment 3        20        20           1       20  0.15           1\n" in expected
 
 
 @pytest.mark.parametrize(
@@ -257,10 +362,9 @@ def test_validation_errors_carry_the_json_path(filename, json_path):
 # with a hook on every number, so whichever comes first in the text, an
 # offending literal or a syntax error, is the error named (exit 1), ahead
 # of any schema problem.
-PRESETS_DIR = Path(__file__).resolve().parent.parent / "src" / "qprob" / "presets"
 SOURCE_TEXTS = {
-    "stern-gerlach": (PRESETS_DIR / "stern-gerlach.json").read_text(encoding="utf-8"),
-    "midlife": (Path(__file__).resolve().parent.parent / "scenarios" / "midlife.json").read_text(encoding="utf-8"),
+    "stern-gerlach": (PRESETS / "stern-gerlach.json").read_text(encoding="utf-8"),
+    "midlife": MIDLIFE.read_text(encoding="utf-8"),
 }
 DIGITS = "7" * 5000  # past the interpreter's 4,300-digit limit
 NON_FINITE = "non-finite number {} is not allowed"

@@ -1,8 +1,9 @@
 """Differential tests of the structure check against jsonschema.
 
 The loader decides structure with its own validator, which reads the
-schema's keywords and checks each numeric payload (state `weights`,
-`vector`, `matrix` and channel `vectors`) in one pass of its own; jsonschema
+schema's keywords and passes the items of each numeric payload (state
+`weights`, `vector`, `matrix`, channel `vectors` and observable `values`)
+with one type scan where it can; jsonschema
 is the oracle here and nowhere else. Each example mutates a shipped or
 seeded scenario, in its payloads or in the fields around them. The
 validator must refuse exactly the documents jsonschema refuses, and name a
@@ -342,16 +343,27 @@ def test_a_one_of_names_its_deepest_failing_branch_else_itself():
 
 
 def test_the_payload_shapes_are_what_the_generic_reading_decides():
-    # The validator passes the payload subschemas with _well_formed; its
-    # keyword reading of the same subschemas must agree with it.
-    payloads = scenario._PAYLOADS
-    with mock.patch.object(scenario, "_PAYLOADS", ()):
+    # The validator passes an array whose items a type scan passes; reading
+    # the same items one by one must give the same verdict and message.
+    schema = scenario._schema()
+    accepted = {name: scenario._violation(doc, schema) for name, doc in ACCEPTED.items()}
+    payloads = ([], [1, [2]], [[1, 2, 3]], [[1, True]], [[[1, 0]], []], [["1", 0]], [[[1, 0], [0]]])
+    shapes = (
+        {"type": "array", "minItems": 1, "items": {"type": "number"}},
+        {"type": "array", "items": {"type": "number"}},
+        {"$ref": "#/$defs/vector"},
+        {"type": "array", "minItems": 1, "items": {"$ref": "#/$defs/vector"}},
+    )
+    scanned = {(i, j): scenario._violation(payload, shape) for i, payload in enumerate(payloads)
+               for j, shape in enumerate(shapes)}
+    assert scenario._scan([1, 2.5], {"type": "number"})
+    assert scenario._scan([[1, 0], [0.5, -1]], {"$ref": "#/$defs/complex"})
+    assert scenario._scan([[[1, 0]], [[0, 1], [1, 0]]], {"$ref": "#/$defs/vector"})
+    with mock.patch.object(scenario, "_scan", lambda items, rule: False):
         for name, doc in ACCEPTED.items():
-            assert scenario._violation(doc, scenario._schema()) is None, name
-        for payload in ([], [1, [2]], [[1, 2, 3]], [[1, True]], [[[1, 0]], []], [["1", 0]], [[[1, 0], [0]]]):
-            for shape, depth in payloads:
-                fast = scenario._well_formed(payload, depth)
-                assert (scenario._violation(payload, shape) is None) is fast, (payload, shape)
+            assert scenario._violation(doc, schema) == accepted[name] is None, name
+        for (i, j), found in scanned.items():
+            assert scenario._violation(payloads[i], shapes[j]) == found, (payloads[i], shapes[j])
 
 
 # Keywords whose values hold subschemas: one, a list of them, or a map from
@@ -393,8 +405,8 @@ def test_shipped_documents_are_valid_under_the_full_schema():
 
 
 def test_payload_subschemas_are_the_shapes_the_loader_walks():
-    # The validator passes these shapes with scenario._well_formed instead of
-    # reading their keywords; a rule added here must be added there.
+    # scenario._scan passes the items of these shapes by their types instead
+    # of reading the item rules; a rule added here must be added there.
     schema = schema_document()
     vector = {"$ref": "#/$defs/vector"}
     assert schema["$defs"]["vector"] == {"type": "array", "minItems": 1, "items": {"$ref": "#/$defs/complex"}}

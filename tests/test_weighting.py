@@ -114,6 +114,16 @@ def test_observer_model_guards():
         ObserverModel("ragged", observable=ragged)
 
 
+def test_an_observer_counts_its_channels_as_entropy_capacity_does():
+    # One rank-2 channel on dimension 3 names no whole number of channels.
+    space = HilbertSpace(3, "odd")
+    wide = Observable(space, (Eventuality.from_basis_states(space, [0, 1]),), ("wide",))
+    with pytest.raises(ValueError, match="^channel rank 2 does not divide dimension 3$"):
+        entropy_capacity(3, 2)
+    with pytest.raises(ValueError, match="^observer 'wide': channel rank 2 does not divide dimension 3$"):
+        ObserverModel("wide", observable=wide)
+
+
 # 10**400 is an int too large for a float: math.isfinite cannot even read it.
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="10**400")])
 def test_observer_model_rejects_non_finite(value):
