@@ -1,12 +1,17 @@
 """Deterministic table rendering: aligned text, csv, and structured json.
 
 A table's cells are one read-only 2-D float64 or complex128 array. Every
-format reads it through `tolist()` and formats a whole row at a time, with
-no Python function call per cell: a text or json row is one %-format call
-on a template built once per pattern of complex cells in a row, and a csv
-row is one join of `repr`s. Aligned text formats numbers with
-%.{precision}g, negative zero as 0, and a complex cell with a zero
-imaginary part prints as its real part; column widths come from the
+format writes a whole row with one %-format call, with no Python function
+call per cell, on a template built once per row pattern; the arguments of
+a whole table come from one `tolist()`. In a table whose real parts are
+at least half +0.0, a float whose bits are all zero passes no argument:
+its template holds the field's own spelling of it ("0" in text, "0.0" in
+csv and json) as literal text, so the table costs what its other floats
+cost; -0.0 keeps its field, which csv and json print. A posterior that
+lives on one channel's block is such a table. A complex cell's zero
+imaginary part, of either sign, passes nothing. Aligned text formats
+numbers with %.{precision}g, negative zero as 0, and a complex cell with a
+zero imaginary part prints as its real part; column widths come from the
 formatted strings, and one format string per table lays out every line.
 CSV keeps full float precision (shortest round-trip repr) so re-parsing
 recovers the in-memory values bit for bit; a table with any nonzero
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -101,27 +107,48 @@ class Report:
         object.__setattr__(self, "sections", tuple(self.sections))
 
 
-def _row_texts(cells: np.ndarray, real: str, pair: str, join) -> list[str]:
+def _row_texts(cells: np.ndarray, real: str, pair: str | None, join) -> list[str]:
     """Each row of `cells` as one string, made by one %-format call.
 
-    A real table's row template spells each cell as `real`. A complex
-    table's rows are read as (re, im) pairs: a cell with a nonzero
-    imaginary part is spelled `pair`, any other as `real` followed by
-    "%.0s", which takes the zero imaginary part and prints nothing. `join`
-    turns a row's spellings into its template; rows with the same pattern
-    of complex cells share one.
+    Where at least half of a table's real parts are +0.0, all bits zero,
+    such a float passes no argument: its template writes `real % 0.0`, the
+    field's own spelling of +0.0, as literal text, so a row costs what its
+    other floats cost. Where they are fewer, every real part passes: that
+    costs at most twice as much, and a dense table's stray zeros do not
+    give each row a template of its own. A complex table's rows are read
+    as (re, im) pairs: a cell with a nonzero imaginary part is spelled
+    `pair`, with its real part's spelling in place of "{}"; any other cell
+    is spelled as its real part, and its imaginary part, zero of either
+    sign, passes nothing. `join` turns a row's spellings into its
+    template; rows whose floats pass arguments in the same places share
+    one.
     """
-    if not (np.iscomplexobj(cells) and cells.imag.any()):
-        template = join([real] * cells.shape[1])
-        return [template % tuple(row) for row in cells.real.tolist()]
-    templates: dict[bytes, str] = {}
-    texts = []
-    for row, nonzero in zip(np.ascontiguousarray(cells).view(np.float64).tolist(), cells.imag != 0):
-        key = nonzero.tobytes()
-        if key not in templates:
-            templates[key] = join([pair if z else real + "%.0s" for z in nonzero.tolist()])
-        texts.append(templates[key] % tuple(row))
-    return texts
+    spellings = [real % 0.0, real]
+    split = np.iscomplexobj(cells) and bool(cells.imag.any())
+    if split:
+        spellings += [pair.format(spellings[0]), pair.format(real)]
+    flat = np.ascontiguousarray(cells if split else cells.real).view(np.float64)
+    if np.count_nonzero(flat) == flat.size:  # no zero anywhere: one template
+        template = join([spellings[-1]] * cells.shape[1])
+        return [template % tuple(row) for row in flat.tolist()]
+    passes = flat.view(np.uint64) != 0
+    reals = passes[:, ::2] if split else passes
+    if 2 * np.count_nonzero(reals) > reals.size:
+        reals[...] = True
+    codes = passes.view(np.uint8)
+    if split:
+        # A cell's spelling is indexed by its real part's bit plus 2 when
+        # its imaginary part passes.
+        passes[:, 1::2] = cells.imag != 0
+        codes = codes[:, ::2] + 2 * codes[:, 1::2]
+    marks = passes.tobytes()  # a byte per float, 1 if it passes
+    width = passes.shape[1]
+    keys = [marks[k * width : (k + 1) * width] for k in range(len(passes))]
+    last = dict(zip(keys, range(len(keys))))  # a row of each key
+    templates = {key: join([spellings[c] for c in codes[row].tolist()]) for key, row in last.items()}
+    args = tuple(flat[passes].tolist())
+    ends = list(accumulate(key.count(1) for key in keys))
+    return [templates[key] % args[a:b] for key, a, b in zip(keys, [0, *ends], ends)]
 
 
 def _text_table(table: RenderedTable, precision: int) -> str:
@@ -131,7 +158,7 @@ def _text_table(table: RenderedTable, precision: int) -> str:
         headers, join = ["", f"{table.col_labels[0]} -> {table.col_labels[1]}"], " -> ".join
     else:
         headers, join = ["", *table.col_labels], "\0".join
-    texts = _row_texts(cells + 0.0, real, real + _number(precision, "+") + "j", join)
+    texts = _row_texts(cells + 0.0, real, "{}" + _number(precision, "+") + "j", join)
     if cells.shape[1]:
         body = [(label, *text.split("\0")) for label, text in zip(table.row_labels, texts)]
     else:
@@ -158,8 +185,9 @@ def _csv_table(table: RenderedTable) -> str:
     else:
         headers = [""] + list(table.col_labels)
         cells = cells.real
+    texts = _row_texts(cells, "%r", None, lambda spellings: ",".join(["", *spellings]))
     out = [f"# {table.caption}", ",".join(map(_csv_field, headers))]
-    out += [",".join([_csv_field(label), *map(repr, row)]) for label, row in zip(table.row_labels, cells.tolist())]
+    out += [_csv_field(label) + text for label, text in zip(table.row_labels, texts)]
     return "\n".join(out)
 
 
@@ -189,7 +217,7 @@ def _json_section(section, pad: str) -> str:
         lines = {"kind": "lines", "caption": section.caption, "lines": list(section.lines)}
         return json.dumps(lines, indent=2).replace("\n", "\n" + pad)
     row_pad, cell_pad = pad + "    ", pad + "      "
-    pair = _json_list(["%r", "%r"], cell_pad)
+    pair = _json_list(["{}", "%r"], cell_pad)
     rows = _row_texts(section.cells, "%r", pair, lambda spellings: _json_list(spellings, row_pad))
     text = _json_list(rows, pad + "  ")
     if not np.isfinite(section.cells).all():  # the encoder's spellings of non-finite floats

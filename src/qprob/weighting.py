@@ -171,14 +171,11 @@ class ObserverModel(_EntropySource):
                 raise ValueError(
                     f"observer {self.id!r}: perception channels must share one rank, got ranks {ranks}"
                 )
-            rank = ranks[0]
-            if rank == 0:
-                raise ValueError(f"observer {self.id!r}: perception channels must be non-null")
             try:
-                count = _channel_count(self.observable.space.dim, rank)
+                count = _channel_count(self.observable.space.dim, ranks[0])
             except ValueError as exc:
                 raise ValueError(f"observer {self.id!r}: {exc}") from None
-            object.__setattr__(self, "channel_rank", rank)
+            object.__setattr__(self, "channel_rank", ranks[0])
             object.__setattr__(self, "branch_channels", count)
 
 

@@ -56,11 +56,15 @@ COMPLEX_COMMANDS = (
 # A dense complex density on a 4 x 4 composite read through a rotated
 # factor observable: D x D operator tables wide enough to exercise column
 # widths, with real and complex cells side by side, at three precisions.
+# Read through the standard basis of factor a, the same posteriors are
+# block-sparse: mostly zero cells, with complex cells inside their blocks.
 DENSE_SCENARIO = "tests/data/dense_complex_4x4.json"
 DENSE_COMMANDS = (
     ("collapse", "--on", "rot-b:r1"),
     ("luder", "--obs", "rot-b"),
     ("branches", "--obs", "rot-b"),
+    ("luder", "--obs", "basis-a"),
+    ("branches", "--obs", "basis-a"),
 )
 DENSE_PRECISIONS = ("1", "17")
 # cat-master under the two other weighting schemes, whose weights captions

@@ -124,6 +124,13 @@ def test_an_observer_counts_its_channels_as_entropy_capacity_does():
         ObserverModel("wide", observable=wide)
 
 
+def test_an_observer_with_a_null_perception_channel_is_refused_by_the_count():
+    space = HilbertSpace(2, "x")
+    null = Observable(space, (Eventuality.null(space),), ("none",))
+    with pytest.raises(ValueError, match="^observer 'x': channel rank must be a positive integer, got 0$"):
+        ObserverModel("x", observable=null)
+
+
 # 10**400 is an int too large for a float: math.isfinite cannot even read it.
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="10**400")])
 def test_observer_model_rejects_non_finite(value):
