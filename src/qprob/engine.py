@@ -5,11 +5,12 @@ operator; the probability it assigns to an eventuality is tr(P e). On
 composites, reduced operators arise by partial trace, and conditioning by
 the projector sandwich e P e / tr(P e). Channel probabilities and joint
 tables of observables on factors of a composite are read from the
-operator reduced to those factors, with no lifted projector.
-Decoherence of a provisional operator over an observable is the sandwich
-sum over its channels; pure inputs decompose into branch vectors.
-Conditioning on an eventuality of probability below the zero threshold
-is a loud error, never a silent NaN.
+operator reduced to those factors, with no lifted projector; without a
+composite, the operator's own space is the one factor. Decoherence of a
+provisional operator over an observable is the sandwich sum over its
+channels; pure inputs decompose into branch vectors. Conditioning on an
+eventuality of probability below the zero threshold is a loud error,
+never a silent NaN.
 """
 
 from __future__ import annotations
@@ -159,15 +160,22 @@ def _require_invariants(a: np.ndarray, skew: float, blocks=None) -> tuple[Struct
 _PAIRWISE = ["einsum_path", (0, 1), (0, 1)]
 
 
-def _projectors(obs: Observable) -> np.ndarray:
-    return np.array([ch.projector.entries for ch in obs.channels])
+def _projectors(x: Observable | Eventuality) -> np.ndarray:  # an eventuality is a stack of one
+    return np.array([ch.projector.entries for ch in (x.channels if isinstance(x, Observable) else (x,))])
+
+
+def _composite(prob: ProbabilityOperator, comp: CompositeSpace | None) -> CompositeSpace:
+    # comp, or the operator's own space as a composite of one factor, which
+    # every primitive reads its factors from; the operator must live on it.
+    comp = CompositeSpace((prob.space,)) if comp is None else comp
+    if prob.space != comp.space:
+        raise SpaceMismatchError(f"operator on {prob.space} does not live on the composite {comp.space}")
+    return comp
 
 
 def _reduced(prob: ProbabilityOperator, comp: CompositeSpace | None, *spaces: HilbertSpace) -> np.ndarray:
-    # P itself with comp None (its space is the caller's to check), else P
-    # reduced to the factors `spaces` of comp, in that order.
-    if comp is None:
-        return prob.matrix.entries
+    # P reduced to the factors `spaces` of comp, in that order.
+    comp = _composite(prob, comp)
     return partial_trace(prob.matrix, comp, tuple(comp.factor_index(s) for s in spaces)).entries
 
 
@@ -177,13 +185,8 @@ def born(prob: ProbabilityOperator, x, *, comp: CompositeSpace | None = None) ->
     x's space is a factor of (None: the operator's own space); P is
     reduced to that factor once, and read unchecked there. Raw values;
     clamping to [0, 1] is presentation-side only."""
-    if comp is None and prob.space != x.space:
-        kind = "observable" if isinstance(x, Observable) else "eventuality"
-        raise SpaceMismatchError(f"operator on {prob.space} does not match {kind} on {x.space}")
-    reduced = _reduced(prob, comp, x.space)
-    if isinstance(x, Observable):
-        return np.einsum("xy,jyx->j", reduced, _projectors(x)).real
-    return float(np.einsum("xy,yx->", reduced, x.projector.entries).real)
+    probs = np.einsum("xy,jyx->j", _reduced(prob, comp, x.space), _projectors(x)).real
+    return probs if isinstance(x, Observable) else float(probs[0])
 
 
 def reduce_composite(state, comp: CompositeSpace, keep: int) -> ProbabilityOperator:
@@ -209,11 +212,11 @@ def _conditionable(p: float, threshold: float) -> float:
 
 # -- the projector sandwich ----------------------------------------------
 #
-# `comp` is the composite that an eventuality's space is a factor of (None:
-# the operator's own space). With V the basis of e on factor k and
-# W = I x V x I, e P e = W (W^dag P W) W^dag: P is compressed once to the
-# range of W, of side r * D / n, and only a D x D output is lifted back
-# (Nielsen & Chuang, section 2.2.5). No lifted projector is built.
+# `comp` is the composite that e's space is a factor of; without one, the
+# operator's own space is the one factor. With V the basis of e on factor
+# k and W = I x V x I, e P e = W (W^dag P W) W^dag: P is compressed once
+# to the range of W, of side r * D / n, and only a D x D output is lifted
+# back (Nielsen & Chuang, section 2.2.5). No lifted projector is built.
 
 
 class _Sandwich(NamedTuple):
@@ -235,15 +238,9 @@ class _Sandwich(NamedTuple):
 
 
 def _sandwich(prob: ProbabilityOperator, e: Eventuality, comp: CompositeSpace | None) -> _Sandwich:
-    if comp is None:
-        if prob.space != e.space:
-            raise SpaceMismatchError(f"operator on {prob.space} does not match eventuality on {e.space}")
-        before = after = 1
-    else:
-        if prob.space != comp.space:
-            raise SpaceMismatchError(f"operator on {prob.space} does not live on the composite {comp.space}")
-        k = comp.factor_index(e.space)
-        before, after = comp.dim_before(k), comp.dim_after(k)
+    comp = _composite(prob, comp)
+    k = comp.factor_index(e.space)
+    before, after = comp.dim_before(k), comp.dim_after(k)
     v, side = e.basis_matrix, before * e.rank * after  # a null e gives a 0 x 0 block
     boxed = prob.matrix.entries.reshape((before, v.shape[0], after) * 2)
     half = np.tensordot(v.conj(), boxed, axes=(0, 1))  # r, before, after, before, n, after
@@ -313,8 +310,6 @@ def joint_matrix(
     Two observables on one space must commute within tol; a violation is
     rejected naming the pair ([A x I, B x I] = [A, B] x I has the same
     residual). Lifts of observables on different factors commute exactly."""
-    if comp is None and not rows.space == cols.space == prob.space:
-        raise SpaceMismatchError("joint_matrix needs observables on the operator's space")
     if rows.space == cols.space:
         reduced = _reduced(prob, comp, rows.space)
         _require_commuting(rows, cols, tol)
@@ -343,17 +338,13 @@ def conditional(
     unitarily invariant, so that residual is read on W (X - X^dag) W^dag.
     Reduced to the target's factor, X gives the target probabilities.
     """
+    comp = _composite(prob, comp)
     s = _sandwich(prob, given, comp)
     posterior = s.block / _conditionable(s.probability, threshold)
     _require_invariants(posterior, cheb_norm(s.lift(posterior - posterior.conj().T)))
-    if comp is None:
-        if target.space != prob.space:
-            raise SpaceMismatchError(f"operator on {prob.space} does not match observable on {target.space}")
-        reduced = posterior
-    else:
-        k = comp.factor_index(given.space)
-        kept = CompositeSpace(comp.factors[:k] + (HilbertSpace(given.rank, "range"),) + comp.factors[k + 1:])
-        reduced = partial_trace(Op(kept.space, posterior), kept, comp.factor_index(target.space)).entries
+    k = comp.factor_index(given.space)
+    kept = CompositeSpace(comp.factors[:k] + (HilbertSpace(given.rank, "range"),) + comp.factors[k + 1:])
+    reduced = partial_trace(Op(kept.space, posterior), kept, comp.factor_index(target.space)).entries
     b = _projectors(target)
     if target.space == given.space:
         b = s.v.conj().T @ b @ s.v  # the target channels compressed to the range of V
@@ -401,22 +392,17 @@ def branch_decompose(
     sandwiches = [_sandwich(prob, ch, comp) for ch in obs.channels]
     probs = [s.probability for s in sandwiches]
     total = StructureReport("total", abs(sum(probs) - 1.0), INVARIANT_TOL)
-    if not total:
-        error = ValueError(
-            f"channel probabilities must total 1: residual {total.residual:.3e} exceeds {total.tol:.0e} "
-            "(is the observable complete?)"
-        )
-        error.residual = total.residual
-        raise error
+    total.require("channel probabilities must total 1 (is the observable complete?)", ValueError)
     posteriors = tuple(
         None if p <= threshold else ProbabilityOperator.from_entries(prob.space, s.lift(s.block) / p, (s.block / p,))
         for s, p in zip(sandwiches, probs)
     )
     branch_vectors = None
-    if vec is not None:
+    if vec is not None:  # V (V^dag psi) on the factor of each channel
         psi = vec.components.reshape(sandwiches[0].before, obs.space.dim, sandwiches[0].after)
         branch_vectors = tuple(
-            Vec(prob.space, np.einsum("xy,ayb->axb", ch.projector.entries, psi).ravel()) for ch in obs.channels
+            Vec(prob.space, np.einsum("xr,arb->axb", s.v, np.einsum("yr,ayb->arb", s.v.conj(), psi)).ravel())
+            for s in sandwiches
         )
     zero = tuple(i for i, p in enumerate(probs) if p <= threshold)
     return BranchDecomposition(obs, tuple(probs), posteriors, branch_vectors, zero, threshold)

@@ -201,6 +201,9 @@ def commutator(a: Op, b: Op) -> Op:
 def _product_space(*factors: HilbertSpace) -> HilbertSpace:
     # Flat join keeps labels associative, matching entrywise associativity
     # of the Kronecker product. ASCII so CLI output is locale-independent.
+    # The product of one factor is that factor.
+    if len(factors) == 1:
+        return factors[0]
     return HilbertSpace(math.prod(f.dim for f in factors), "*".join(str(f) for f in factors))
 
 
@@ -310,8 +313,7 @@ def partial_trace(m: Op, comp: CompositeSpace, keep: int | tuple[int, ...]) -> O
     size = math.prod(comp.dims[k] for k in kept)
     entries = m.entries.reshape(shape * 2)
     reduced = np.einsum(entries, list(range(len(runs))) + column, rows + cols).reshape(size, size)
-    space = comp.factors[kept[0]] if len(kept) == 1 else _product_space(*(comp.factors[k] for k in kept))
-    return Op(space, reduced)
+    return Op(_product_space(*(comp.factors[k] for k in kept)), reduced)
 
 
 STRUCTURE_KINDS = ("hermitian", "unitary", "projector", "psd")

@@ -22,7 +22,7 @@ def format_number(x, precision: int = 6) -> str:
 
 def _format_cell(x: float | complex, precision: int) -> str:
     if isinstance(x, complex) and x.imag != 0.0:
-        sign = "+" if x.imag >= 0 else "-"
+        sign = "-" if x.imag < 0 else "+"  # nan takes "+", as %+g writes it
         return f"{format_number(x.real, precision)}{sign}{format_number(abs(x.imag), precision)}j"
     return format_number(x.real, precision)
 

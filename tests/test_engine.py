@@ -1,6 +1,11 @@
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qprob.engine
 from qprob import (
     CompositeSpace,
     CorrelationReport,
@@ -170,6 +175,58 @@ def test_joint_matrix_rejects_noncommuting():
 def test_joint_matrix_space_guard():
     with pytest.raises(SpaceMismatchError):
         joint_matrix(CAT_STATE, basis_observable(S2), basis_observable(S2))
+
+
+# Each primitive on an observable of one factor, or on its first channel.
+# conditional's `given` is a factor eventuality with comp, and the certain
+# eventuality without it, so that only its target can be off the composite.
+PRIMITIVES = {
+    "born": lambda prob, obs, comp: born(prob, obs, comp=comp),
+    "joint_matrix": lambda prob, obs, comp: joint_matrix(prob, obs, obs, comp=comp),
+    "collapse": lambda prob, obs, comp: collapse(prob, obs.channels[0], comp=comp),
+    "conditional": lambda prob, obs, comp: conditional(
+        prob, Eventuality.certain(prob.space if comp is None else comp.factors[0]), obs, comp=comp
+    ),
+    "luder": lambda prob, obs, comp: luder(prob, obs, comp=comp),
+    "branch_decompose": lambda prob, obs, comp: branch_decompose(prob, obs, comp=comp),
+}
+
+
+@pytest.mark.parametrize("name", PRIMITIVES)
+def test_every_primitive_refuses_spaces_off_its_composite(name):
+    run, cat = PRIMITIVES[name], basis_observable(CAT_COMP.factors[1])
+    run(CAT_STATE, cat, CAT_COMP)
+    with pytest.raises(SpaceMismatchError, match="does not live on the composite"):
+        run(ProbabilityOperator.isotropic(S4), cat, CAT_COMP)
+    with pytest.raises(SpaceMismatchError, match=re.escape(f"space spin is not a factor of {CAT_COMP.space}")):
+        run(CAT_STATE, basis_observable(S2), CAT_COMP)
+    # Without comp, the operator's own space is the one factor.
+    with pytest.raises(SpaceMismatchError, match=re.escape(f"space cat is not a factor of {CAT_COMP.space}")):
+        run(CAT_STATE, cat, None)
+
+
+def _engine_sites(match) -> list:
+    """The name of the innermost function around each node of engine.py
+    that `match` accepts, in source order."""
+    found = []
+
+    def walk(node, function):
+        if match(node):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            walk(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    walk(ast.parse(Path(qprob.engine.__file__).read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_engine_resolves_comp_once_and_reads_projectors_in_one_place():
+    assert _engine_sites(lambda n: isinstance(n, ast.Compare) and ast.unparse(n) == "comp is None") == ["_composite"]
+    assert set(_engine_sites(lambda n: isinstance(n, ast.Attribute) and n.attr == "projector")) == {"_projectors"}
+    # The one operator-versus-composite guard, besides the operator's own
+    # matrix check and the transported eventuality's.
+    raises = _engine_sites(lambda n: isinstance(n, ast.Raise) and "SpaceMismatchError" in ast.unparse(n))
+    assert raises == ["__post_init__", "_composite", "heisenberg_transport"]
 
 
 def test_conditional_frozen_master_table():

@@ -5,13 +5,16 @@ import pytest
 
 from qprob import (
     CompositeSpace,
+    Eventuality,
     HilbertSpace,
+    Observable,
     Op,
     SpaceMismatchError,
     StructureError,
     Vec,
     cheb_norm,
     commutator,
+    lift,
     partial_trace,
     structure_check,
     tensor,
@@ -163,6 +166,20 @@ def test_composite_repeated_factor_is_ambiguous():
     comp = CompositeSpace((S2, S2))
     with pytest.raises(SpaceMismatchError):
         comp.factor_index(S2)
+
+
+def test_one_factor_composite_is_that_factor():
+    # By the product label rule alone, an unlabelled H2 would become a
+    # space labelled "H2", which is not H2.
+    h = HilbertSpace(2)
+    comp = CompositeSpace((h,))
+    assert comp.space is h
+    m = rand_density(np.random.default_rng(3), 2)
+    reduced = partial_trace(Op(h, m), comp, 0)
+    assert reduced.space == h and np.array_equal(reduced.entries, m)
+    obs = Observable(h, tuple(Eventuality.from_basis_states(h, [k]) for k in range(2)))
+    assert lift(obs, comp).space == h
+    assert CompositeSpace((S2,)).space == S2
 
 
 def test_partial_trace_product_state():

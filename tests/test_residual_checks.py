@@ -76,7 +76,7 @@ FINITE = [
      "gross probabilities for 'right' must total 1: residual 2.500e-01 exceeds 1e-10", 0.25),
     ("channel-total", lambda: branch_decompose(HALF, Observable(S2, (Eventuality.from_basis_states(S2, [0]),))),
      ValueError,
-     "channel probabilities must total 1: residual 5.000e-01 exceeds 1e-10 (is the observable complete?)", 0.5),
+     "channel probabilities must total 1 (is the observable complete?): residual 5.000e-01 exceeds 1e-10", 0.5),
 ]
 
 # (site, call, exception class, full message) with a NaN residual
@@ -98,7 +98,7 @@ NON_FINITE = [
     ("gross-total", lambda: net_table(Scheme("weak"), _observers(), [[NAN, 0.5], [0.5, 0.5]]), ValueError,
      "gross probabilities for 'left' must total 1: residual nan exceeds 1e-10"),
     ("channel-total", lambda: branch_decompose(HALF, Observable(S2, (Eventuality(S2, [[NAN], [0]]),))), ValueError,
-     "channel probabilities must total 1: residual nan exceeds 1e-10 (is the observable complete?)"),
+     "channel probabilities must total 1 (is the observable complete?): residual nan exceeds 1e-10"),
 ]
 
 

@@ -8,7 +8,7 @@ constants that use it.
 
 Every toleranced invariant fails through `StructureReport.require`, so
 the "residual R exceeds T" message, and the NaN-refusing comparison
-behind it, are written once. Three messages keep their own wording and
+behind it, are written once. Two messages keep their own wording and
 are listed by line.
 """
 
@@ -62,9 +62,6 @@ TEMPLATE_OWNERS = {
     # The two observable residuals of a scenario observable, named apart.
     ("scenario.py", 'f"orthogonality residual {check.orthogonality_residual:.3e} exceeds {check.tol:.0e}"'),
     ("scenario.py", 'f"completeness residual {check.completeness_residual:.3e} exceeds {check.tol:.0e}"'),
-    # branch_decompose's channel total, which ends with a hint.
-    ("engine.py",
-     'f"channel probabilities must total 1: residual {total.residual:.3e} exceeds {total.tol:.0e} "'),
 }
 
 
