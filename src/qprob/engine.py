@@ -283,8 +283,8 @@ class JointProbabilityMatrix:
         expected = (self.row_observable.channel_count, self.col_observable.channel_count)
         if arr.shape != expected:
             raise ValueError(f"joint matrix shape {arr.shape} does not match channel counts {expected}")
-        if float(arr.min()) < -INVARIANT_TOL:
-            raise ValueError(f"joint matrix has a negative entry: {float(arr.min()):.3e}")
+        negative = StructureReport("nonnegative", max(0.0, -float(arr.min())), INVARIANT_TOL)
+        negative.require("joint matrix has a negative entry", ValueError)
         total = StructureReport("total", abs(float(arr.sum()) - 1.0), INVARIANT_TOL)
         total.require("joint matrix must total 1", ValueError)
         arr.setflags(write=False)

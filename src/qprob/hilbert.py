@@ -283,6 +283,8 @@ def partial_trace(m: Op, comp: CompositeSpace, keep: int | tuple[int, ...]) -> O
             raise ValueError(f"keep index {k} out of range for {n} factors")
     if not kept or len(set(kept)) != len(kept):
         raise ValueError(f"keep indices {kept} must be distinct and not empty")
+    if kept == tuple(range(n)):
+        return m  # nothing to trace out
     # One axis per run: a run of traced-out factors, or of kept factors that
     # `keep` names in the same order. The einsum labels axes by position:
     # run r's row axis is r, and so is its column axis if r is traced out;

@@ -52,7 +52,8 @@ class Observable:
         if len(labels) != len(channels):
             raise ValueError(f"{len(channels)} channels but {len(labels)} labels")
         if len(set(labels)) != len(labels):
-            raise ValueError("channel labels must be distinct")
+            repeated = next(label for label in labels if labels.count(label) > 1)
+            raise ValueError(f"duplicate channel label {repeated!r}")
         object.__setattr__(self, "channels", channels)
         object.__setattr__(self, "labels", labels)
 
@@ -125,7 +126,7 @@ class QuantitativeObservable:
     def __post_init__(self):
         values = tuple(float(v) for v in self.values)
         if len(values) != self.base.channel_count:
-            raise ValueError(f"{self.base.channel_count} channels but {len(values)} values")
+            raise ValueError(f"{len(values)} values for {self.base.channel_count} channels")
         if len(set(values)) != len(values):
             raise ValueError(f"channel values must be pairwise distinct, got {values}")
         object.__setattr__(self, "values", values)

@@ -3,10 +3,10 @@
 A scenario is a json document validated in three stages: syntax (parse
 errors report the position), structure (against the shipped json schema,
 which the loader reads itself, naming the node that breaks it and the
-rule it breaks), and semantics (numeric invariants such as
-unit trace, channel orthogonality, and reference resolution, each named
-with its residual). Presets ship as ordinary scenario files inside the
-package; nothing is hard-coded.
+rule it breaks), and semantics (the library constructors' own checks,
+such as unit trace and channel orthogonality, named by the item they were
+building, and reference resolution). Presets ship as ordinary scenario
+files inside the package; nothing is hard-coded.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 import math
 import re
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from importlib import resources
@@ -30,7 +31,7 @@ from .errors import (
     StructureError,
     UnknownPresetError,
 )
-from .hilbert import CompositeSpace, HilbertSpace, Vec
+from .hilbert import CompositeSpace, HilbertSpace, StructureReport, Vec
 from .lattice import ClassicalEventuality, ClassicalModel, Eventuality
 from .observables import Observable, ObservableValidation, QuantitativeObservable, validate_observable
 from .weighting import LifetimeProfile, LifetimeSegment, ObserverModel, Scheme
@@ -368,6 +369,17 @@ def _complex_array(rows, what: str, items: str | None = None, json_path: str | N
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+@contextmanager
+def _named(what: str):
+    """A library refusal raised in the block, a ValueError or StructureError,
+    as the ScenarioValidationError "{what}: {message}", `what` naming the
+    item the block was building. The loader's own errors pass through."""
+    try:
+        yield
+    except (ValueError, StructureError) as exc:
+        raise ScenarioValidationError(f"{what}: {exc}") from exc
+
+
 def _build_quantum(doc: dict, origin: str) -> dict:
     spaces: list[HilbertSpace] = []
     seen: set[str] = set()
@@ -394,31 +406,16 @@ def _build_quantum(doc: dict, origin: str) -> dict:
 
     state_doc = doc["state"]
     state_vector: Vec | None = None
-    try:
+    with _named(f"{origin}: state"):
         if state_doc["kind"] == "diagonal":
             weights = [_float(w, f"{origin}: state weight") for w in state_doc["weights"]]
-            if len(weights) != full.dim:
-                raise ScenarioValidationError(
-                    f"{origin}: state: {len(weights)} diagonal weights do not fit dimension {full.dim}"
-                )
             state = ProbabilityOperator.diagonal(full, weights)
         elif state_doc["kind"] == "pure":
-            comp = _complex_array(state_doc["vector"], f"{origin}: state vector")
-            if comp.shape != (full.dim,):
-                raise ScenarioValidationError(
-                    f"{origin}: state: vector of length {comp.shape[0]} does not fit dimension {full.dim}"
-                )
-            state_vector = Vec(full, comp)
+            state_vector = Vec(full, _complex_array(state_doc["vector"], f"{origin}: state vector"))
             state = ProbabilityOperator.pure(state_vector)
         else:
             mat = _complex_array(state_doc["matrix"], f"{origin}: state matrix", "rows", "$.state.matrix")
-            if mat.shape != (full.dim, full.dim):
-                raise ScenarioValidationError(
-                    f"{origin}: state: matrix of shape {mat.shape} does not fit dimension {full.dim}"
-                )
             state = ProbabilityOperator.from_entries(full, mat)
-    except StructureError as exc:
-        raise ScenarioValidationError(f"{origin}: state: {exc}") from exc
 
     observables: list[ScenarioObservable] = []
     for i, item in enumerate(doc["observables"]):
@@ -429,49 +426,26 @@ def _build_quantum(doc: dict, origin: str) -> dict:
             raise ScenarioValidationError(f"{origin}: observable {oid!r} references unknown space id {item['space']!r}")
         space = by_id[item["space"]]
         channels: list[Eventuality] = []
-        labels: list[str] = []
         for j, ch in enumerate(item["channels"]):
-            if ch["label"] in labels:
-                raise ScenarioValidationError(f"{origin}: observable {oid!r}: duplicate channel label {ch['label']!r}")
             what = f"{origin}: observable {oid!r} channel {ch['label']!r}"
             vectors = _complex_array(ch["vectors"], what, "vectors", f"$.observables[{i}].channels[{j}].vectors")
-            if vectors.shape[1] != space.dim:
-                raise ScenarioValidationError(
-                    f"{what}: vectors of length {vectors.shape[1]} do not fit space {space.label!r} "
-                    f"of dimension {space.dim}"
-                )
-            try:
+            with _named(what):
                 event = Eventuality.from_span(space, list(vectors))
-            except ValueError as exc:
-                raise ScenarioValidationError(f"{what}: {exc}") from exc
             if event.is_null:
                 raise ScenarioValidationError(f"{what}: channel spans nothing")
             channels.append(event)
-            labels.append(ch["label"])
-        obs = Observable(space, tuple(channels), tuple(labels))
-        check = validate_observable(obs)
-        if not check:
-            if check.orthogonality_residual > check.tol:
-                a, b = check.worst_pair
-                raise ScenarioValidationError(
-                    f"{origin}: observable {oid!r}: channels {a!r} and {b!r} are not mutually exclusive: "
-                    f"orthogonality residual {check.orthogonality_residual:.3e} exceeds {check.tol:.0e}"
-                )
-            raise ScenarioValidationError(
-                f"{origin}: observable {oid!r}: channels do not cover the space: "
-                f"completeness residual {check.completeness_residual:.3e} exceeds {check.tol:.0e}"
-            )
-        quantitative = None
-        if "values" in item:
-            if len(item["values"]) != len(channels):
-                raise ScenarioValidationError(
-                    f"{origin}: observable {oid!r}: {len(item['values'])} values for {len(channels)} channels"
-                )
-            values = tuple(_float(v, f"{origin}: observable {oid!r} values") for v in item["values"])
-            try:
+        with _named(f"{origin}: observable {oid!r}"):
+            obs = Observable(space, tuple(channels), tuple(ch["label"] for ch in item["channels"]))
+            check = validate_observable(obs)
+            pair = " and ".join(map(repr, check.worst_pair or ()))
+            orthogonal = StructureReport("orthogonality", check.orthogonality_residual, check.tol)
+            orthogonal.require(f"channels {pair} are not mutually exclusive (orthogonality)")
+            complete = StructureReport("completeness", check.completeness_residual, check.tol)
+            complete.require("channels do not cover the space (completeness)")
+            quantitative = None
+            if "values" in item:
+                values = tuple(_float(v, f"{origin}: observable {oid!r} values") for v in item["values"])
                 quantitative = QuantitativeObservable(obs, values)
-            except ValueError as exc:
-                raise ScenarioValidationError(f"{origin}: observable {oid!r}: {exc}") from exc
         observables.append(ScenarioObservable(oid, space.label, obs, quantitative, check))
 
     observers: list[ObserverModel] = []
@@ -484,7 +458,7 @@ def _build_quantum(doc: dict, origin: str) -> dict:
             "lifetime": _float(item.get("lifetime", 1.0), f"{what} lifetime"),
             "perception_duration": _float(item.get("perception_duration", 1.0), f"{what} perception_duration"),
         }
-        try:
+        with _named(origin):
             if "observable" in item:
                 matches = [so for so in observables if so.id == item["observable"]]
                 if not matches:
@@ -497,8 +471,6 @@ def _build_quantum(doc: dict, origin: str) -> dict:
                 observer = ObserverModel(item["id"], branch_channels=int(item["branch_channels"]), **kwargs)
             else:
                 observer = ObserverModel(item["id"], entropy_value=_float(item["entropy"], f"{what} entropy"), **kwargs)
-        except ValueError as exc:
-            raise ScenarioValidationError(f"{origin}: {exc}") from exc
         observers.append(observer)
 
     weighting: Scheme | None = None
@@ -518,18 +490,14 @@ def _build_quantum(doc: dict, origin: str) -> dict:
 
 
 def _build_classical(doc: dict, origin: str) -> dict:
-    try:
+    with _named(f"{origin}: classical model"):
         model = ClassicalModel(tuple(doc["points"]), tuple(float(w) for w in doc["measure"]))
-    except ValueError as exc:
-        raise ScenarioValidationError(f"{origin}: classical model: {exc}") from exc
     events: list[ScenarioEvent] = []
     for item in doc["events"]:
         if any(e.id == item["id"] for e in events):
             raise ScenarioValidationError(f"{origin}: duplicate event id {item['id']!r}")
-        try:
+        with _named(f"{origin}: event {item['id']!r}"):
             events.append(ScenarioEvent(item["id"], model.event(item["members"])))
-        except ValueError as exc:
-            raise ScenarioValidationError(f"{origin}: event {item['id']!r}: {exc}") from exc
     return {"classical": model, "events": tuple(events)}
 
 
@@ -547,10 +515,8 @@ def _build_profile(doc: dict, origin: str) -> LifetimeProfile | None:
             kwargs["branch_channels"] = int(item["branch_channels"])
         else:
             kwargs["entropy_value"] = _float(item["entropy"], f"{what} entropy")
-        try:
+        with _named(what):
             segments.append(LifetimeSegment(**kwargs))
-        except ValueError as exc:
-            raise ScenarioValidationError(f"{origin}: lifetime profile segment {k + 1}: {exc}") from exc
     return LifetimeProfile(tuple(segments))
 
 

@@ -297,6 +297,18 @@ def test_partial_trace_keeps_an_ordered_tuple_of_factors():
     assert cheb_norm(numpy_index.entries - single.entries) == 0.0
 
 
+def test_partial_trace_keeping_every_factor_in_order_is_its_input():
+    # Nothing is traced out, so no copy is made; any other order permutes.
+    spaces = (HilbertSpace(2, "f0"), HilbertSpace(3, "f1"))
+    comp = CompositeSpace(spaces)
+    m = Op(comp.space, rand_density(np.random.default_rng(5), comp.dim))
+    assert partial_trace(m, comp, (0, 1)) is m
+    swapped = partial_trace(m, comp, (1, 0))
+    assert swapped is not m and swapped.space != m.space
+    one = Op(spaces[0], rand_density(np.random.default_rng(6), 2))
+    assert partial_trace(one, CompositeSpace(spaces[:1]), 0) is one
+
+
 def test_partial_trace_requires_matching_space():
     comp = CompositeSpace((S2, S3))
     with pytest.raises(SpaceMismatchError):

@@ -62,6 +62,13 @@ def test_observable_rejects_bad_labels():
         Observable(S2, (Eventuality.from_basis_states(S3, [0]),))
 
 
+def test_observable_names_a_repeated_label():
+    channels = tuple(Eventuality.from_basis_states(S3, [k]) for k in range(3))
+    with pytest.raises(ValueError) as raised:
+        Observable(S3, channels, ("up", "down", "up"))
+    assert str(raised.value) == "duplicate channel label 'up'"
+
+
 def test_validate_passes_complete_family():
     report = validate_observable(basis_observable(S4))
     assert report.passed and bool(report)
@@ -120,6 +127,12 @@ def test_quantitative_values_distinct():
         QuantitativeObservable(obs, (1.0, 1.0))
     with pytest.raises(ValueError):
         QuantitativeObservable(obs, (1.0,))
+
+
+def test_quantitative_names_the_value_and_channel_counts():
+    with pytest.raises(ValueError) as raised:
+        QuantitativeObservable(basis_observable(S2), (1.0,))
+    assert str(raised.value) == "1 values for 2 channels"
 
 
 def test_build_operator_diagonal():

@@ -62,6 +62,8 @@ FINITE = [
      "transport needs a unitary: residual 3.000e+00 exceeds 1e-10", 3.0),
     ("joint-total", lambda: JointProbabilityMatrix(_basis(), _basis(), [[0.5, 0.0], [0.0, 0.25]]), ValueError,
      "joint matrix must total 1: residual 2.500e-01 exceeds 1e-10", 0.25),
+    ("joint-negative", lambda: JointProbabilityMatrix(_basis(), _basis(), [[1.25, 0.0], [0.0, -0.25]]), ValueError,
+     "joint matrix has a negative entry: residual 2.500e-01 exceeds 1e-10", 0.25),
     ("projector", lambda: Eventuality.from_projector(Op(S2, np.diag([0.5, 0.0]))), StructureError,
      "not a projector: residual 2.500e-01 exceeds 1e-10", 0.25),
     ("measure-total", lambda: ClassicalModel(("heads", "tails"), (0.5, 0.25)), ValueError,

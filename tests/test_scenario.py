@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -307,6 +308,17 @@ MIXED_RANKS = [
                      id="mixed-ranks"),
         pytest.param(COIN, lambda doc: doc["events"][1].update(id="tails-up"),
                      "duplicate event id 'tails-up'", id="event-id"),
+        pytest.param(CAT_BOX, lambda doc: doc["state"].update(weights=[0.5, 0.5]),
+                     "state: 2 weights do not fit dim 4", id="weight-count"),
+        pytest.param(CAT_BOX, lambda doc: doc.update(state={"kind": "pure", "vector": [[1, 0], [0, 0], [0, 0]]}),
+                     "state: vector components must have shape (4,), got (3,)", id="vector-length"),
+        pytest.param(CAT_BOX, lambda doc: doc.update(state={"kind": "density", "matrix": [[[0.25, 0]] * 3] * 4}),
+                     "state: operator entries must have shape (4, 4), got (4, 3)", id="matrix-shape"),
+        pytest.param(STERN_GERLACH, lambda doc: doc["observables"][0]["channels"][0].update(vectors=[[[1, 0]] * 3]),
+                     "observable 'alignment' channel 'up': spanning vector of length 3 does not fit dim 2",
+                     id="channel-vector-length"),
+        pytest.param(STERN_GERLACH, lambda doc: doc["observables"][0]["channels"][0].update(vectors=[[[0, 0]] * 2]),
+                     "observable 'alignment' channel 'up': channel spans nothing", id="null-channel"),
     ],
 )
 def test_semantic_refusals_name_what_repeats_or_does_not_fit(tmp_path, capsys, source, edit, message):
@@ -432,6 +444,29 @@ def test_the_loader_decodes_json_in_one_place():
     assert _sites(text, "loads") == ["schema_document", "_parse"]
     for name in ("load", "JSONDecoder", "raw_decode"):
         assert _sites(text, name) == [], name
+
+
+def test_the_loader_names_library_refusals_in_one_place():
+    # The library constructors are the one check of each scenario invariant;
+    # one except clause, in _named, turns their refusals into a
+    # ScenarioValidationError that names the item being built.
+    tree = ast.parse((SRC / "scenario.py").read_text(encoding="utf-8"))
+    wrapping = [
+        (function.name, ast.unparse(handler.type))
+        for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+        for handler in ast.walk(function) if isinstance(handler, ast.ExceptHandler)
+        if any(isinstance(node, ast.Name) and node.id == "ScenarioValidationError" for node in ast.walk(handler))
+    ]
+    assert wrapping == [("_named", "(ValueError, StructureError)")]
+
+
+def test_the_loaders_own_errors_pass_through_the_naming():
+    for error in (ScenarioValidationError("doc: own"), ScenarioParseError("doc: read")):
+        with pytest.raises(type(error)) as raised, scenario._named("doc: item"):
+            raise error
+        assert raised.value is error
+    with pytest.raises(ScenarioValidationError, match="^doc: item: refused$"), scenario._named("doc: item"):
+        raise ValueError("refused")
 
 
 def test_pure_state_scenario(tmp_path):

@@ -8,8 +8,7 @@ constants that use it.
 
 Every toleranced invariant fails through `StructureReport.require`, so
 the "residual R exceeds T" message, and the NaN-refusing comparison
-behind it, are written once. Two messages keep their own wording and
-are listed by line.
+behind it, are written once.
 """
 
 import re
@@ -59,9 +58,6 @@ TEMPLATE = re.compile(r"residual \{[^{}]*:\.3e\}|exceeds \{[^{}]*:\.0e\}")
 TEMPLATE_OWNERS = {
     # StructureReport.require: the one check point.
     ("hilbert.py", 'exc = error(f"{what}: residual {self.residual:.3e} exceeds {self.tol:.0e}")'),
-    # The two observable residuals of a scenario observable, named apart.
-    ("scenario.py", 'f"orthogonality residual {check.orthogonality_residual:.3e} exceeds {check.tol:.0e}"'),
-    ("scenario.py", 'f"completeness residual {check.completeness_residual:.3e} exceeds {check.tol:.0e}"'),
 }
 
 
