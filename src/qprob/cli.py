@@ -6,8 +6,8 @@ Each command is declared once, in `_COMMANDS`: its handler, help text,
 extra flags and the kind of scenario it needs. Exit status 0 on success,
 1 for input or usage errors (bad flags, unknown preset, unreadable or
 unparseable file, command/scenario mismatch), 2 for validation or numeric
-failures. Output is deterministic: the same invocation produces identical
-bytes.
+failures and for running out of memory. Output is deterministic: the same
+invocation produces identical bytes.
 """
 
 from __future__ import annotations
@@ -575,6 +575,9 @@ def main(argv=None) -> int:
         return 1
     except (QprobError, ValueError) as exc:
         sys.stderr.write(f"qprob: error: {exc}\n")
+        return 2
+    except MemoryError as exc:
+        sys.stderr.write(f"qprob: error: out of memory: {str(exc) or 'an allocation failed'}\n")
         return 2
     sys.stdout.write(text)
     return 0

@@ -1,34 +1,39 @@
 """Deterministic table rendering: aligned text, csv, and structured json.
 
-A table's cells are one read-only 2-D float64 or complex128 array. Every
-format writes a whole row with one %-format call, with no Python function
-call per cell, on a template built once per row pattern; the arguments of
-a whole table come from one `tolist()`. In a table whose real parts are
-at least half +0.0, a float whose bits are all zero passes no argument:
-its template holds the field's own spelling of it ("0" in text, "0.0" in
-csv and json) as literal text, so the table costs what its other floats
-cost; -0.0 keeps its field, which csv and json print. A posterior that
-lives on one channel's block is such a table. A complex cell's zero
-imaginary part, of either sign, passes nothing. Aligned text formats
-numbers with %.{precision}g, negative zero as 0, and a complex cell with a
-zero imaginary part prints as its real part; column widths come from the
-formatted strings, and one format string per table lays out every line.
-CSV keeps full float precision (shortest round-trip repr) so re-parsing
-recovers the in-memory values bit for bit; a table with any nonzero
-imaginary part splits every column into .re/.im columns. The json format
-mirrors the scenario file convention: complex numbers as [re, im] pairs.
-Its bytes are those of `json.dumps(payload, indent=2)`, but only the small
-skeleton (title, captions, labels, lines) goes through the encoder: with
-`indent` set, the stdlib runs its pure-Python encoder, one function call
-per cell, so the cells are written by hand in the same layout. Output is
-ASCII throughout so bytes do not depend on the locale.
+A table's cells are one read-only 2-D float64 or complex128 array: an
+operator's own entries, shared, or a copy of anything else. Every format
+writes a whole row with one %-format call, with no Python function call
+per cell, on a template built once per row pattern; floats become Python
+numbers one row at a time, just before that row is written. In a table
+whose real parts are at least half +0.0, a float whose bits are all zero
+passes no argument: its template holds the field's own spelling of it ("0"
+in text, "0.0" in csv and json) as literal text, so the table costs what
+its other floats cost; -0.0 keeps its field, which csv and json print. A
+posterior that lives on one channel's block is such a table. A complex
+cell's zero imaginary part, of either sign, passes nothing. Aligned text
+formats numbers with %.{precision}g, negative zero as 0, and a complex
+cell with a zero imaginary part prints as its real part; column widths
+come from the formatted strings, and one format string per table lays out
+every line. CSV keeps full float precision (shortest round-trip repr) so
+re-parsing recovers the in-memory values bit for bit; a table with any
+nonzero imaginary part splits every column into .re/.im columns. The json
+format mirrors the scenario file convention: complex numbers as [re, im]
+pairs. Its bytes are those of `json.dumps(payload, indent=2)`, but only
+the small skeleton (title, captions, labels, lines) goes through the
+encoder: with `indent` set, the stdlib runs its pure-Python encoder, one
+function call per cell, so the cells are written by hand in the same
+layout. Output is ASCII throughout so bytes do not depend on the locale.
+
+A report, or a single section, is gathered as one flat list of pieces
+(skeleton, captions, labels, row texts, separators) and joined once, so
+its text is held once beside the pieces it is made of.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -59,11 +64,14 @@ def format_number(x, precision: int = 6) -> str:
 @dataclass(frozen=True, eq=False)
 class RenderedTable:
     """A captioned numeric table. `cells` accepts an array or nested
-    sequence of numbers and is stored as a read-only copy: complex128 if
-    any cell is complex, float64 otherwise, of shape (rows, columns). With
-    arrow_pair set, the table must have exactly two value columns and
-    aligned text shows them as one "first -> second" column (csv and json
-    keep them separate)."""
+    sequence of numbers, held as one read-only array of shape (rows,
+    columns): complex128 if any cell is complex, float64 otherwise. A
+    float64 or complex128 array that is already read-only and owns its
+    data, such as an `Op`'s entries, is kept as it is; anything else,
+    a writable array or a view included, is copied. With arrow_pair set,
+    the table must have exactly two value columns and aligned text shows
+    them as one "first -> second" column (csv and json keep them
+    separate)."""
 
     caption: str
     row_labels: tuple[str, ...]
@@ -72,9 +80,12 @@ class RenderedTable:
     arrow_pair: bool = False
 
     def __post_init__(self):
-        cells = np.asarray(self.cells)
-        cells = cells.astype(np.complex128 if np.iscomplexobj(cells) else np.float64)
-        cells.flags.writeable = False
+        cells = self.cells
+        owned = isinstance(cells, np.ndarray) and cells.base is None and not cells.flags.writeable
+        if not (owned and cells.dtype in (np.float64, np.complex128)):
+            cells = np.asarray(cells)
+            cells = cells.astype(np.complex128 if np.iscomplexobj(cells) else np.float64)
+            cells.flags.writeable = False
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
@@ -108,7 +119,8 @@ class Report:
 
 
 def _row_texts(cells: np.ndarray, real: str, pair: str | None, join) -> list[str]:
-    """Each row of `cells` as one string, made by one %-format call.
+    """Each row of `cells` as one string, made by one %-format call on
+    that row's floats, which become Python numbers a row at a time.
 
     Where at least half of a table's real parts are +0.0, all bits zero,
     such a float passes no argument: its template writes `real % 0.0`, the
@@ -121,7 +133,7 @@ def _row_texts(cells: np.ndarray, real: str, pair: str | None, join) -> list[str
     is spelled as its real part, and its imaginary part, zero of either
     sign, passes nothing. `join` turns a row's spellings into its
     template; rows whose floats pass arguments in the same places share
-    one.
+    one, and a row that passes none is its template itself.
     """
     spellings = [real % 0.0, real]
     split = np.iscomplexobj(cells) and bool(cells.imag.any())
@@ -130,7 +142,7 @@ def _row_texts(cells: np.ndarray, real: str, pair: str | None, join) -> list[str
     flat = np.ascontiguousarray(cells if split else cells.real).view(np.float64)
     if np.count_nonzero(flat) == flat.size:  # no zero anywhere: one template
         template = join([spellings[-1]] * cells.shape[1])
-        return [template % tuple(row) for row in flat.tolist()]
+        return [template % tuple(row.tolist()) for row in flat]
     passes = flat.view(np.uint64) != 0
     reals = passes[:, ::2] if split else passes
     if 2 * np.count_nonzero(reals) > reals.size:
@@ -146,12 +158,12 @@ def _row_texts(cells: np.ndarray, real: str, pair: str | None, join) -> list[str
     keys = [marks[k * width : (k + 1) * width] for k in range(len(passes))]
     last = dict(zip(keys, range(len(keys))))  # a row of each key
     templates = {key: join([spellings[c] for c in codes[row].tolist()]) for key, row in last.items()}
-    args = tuple(flat[passes].tolist())
+    args = flat[passes]  # the passing floats, in row order
     ends = list(accumulate(key.count(1) for key in keys))
-    return [templates[key] % args[a:b] for key, a, b in zip(keys, [0, *ends], ends)]
+    return [templates[key] % tuple(args[a:b].tolist()) for key, a, b in zip(keys, [0, *ends], ends)]
 
 
-def _text_table(table: RenderedTable, precision: int) -> str:
+def _text_table(out: list, table: RenderedTable, precision: int) -> None:
     cells = table.cells
     real = _number(precision)
     if table.arrow_pair:
@@ -165,17 +177,19 @@ def _text_table(table: RenderedTable, precision: int) -> str:
         body = [(label,) for label in table.row_labels]
     widths = [max(map(len, column)) for column in zip(headers, *body)]
     layout = "  ".join([f"%-{widths[0]}s"] + [f"%{w}s" for w in widths[1:]])
-    return "\n".join([table.caption] + [(layout % tuple(row)).rstrip() for row in [headers, *body]])
+    out.append(table.caption)
+    for row in [headers, *body]:
+        out += ("\n", (layout % tuple(row)).rstrip())
 
 
 def _csv_field(text: str) -> str:
-    # Only labels need quoting: a float's repr never holds a comma, quote or newline.
-    if any(c in text for c in ",\"\n"):
+    # Only labels need quoting: a float's repr never holds a comma, quote or line break.
+    if any(c in text for c in ",\"\n\r"):
         text = '"' + text.replace('"', '""') + '"'
     return text
 
 
-def _csv_table(table: RenderedTable) -> str:
+def _csv_table(out: list, table: RenderedTable) -> None:
     cells = table.cells
     if np.iscomplexobj(cells) and cells.imag.any():
         headers = [""] + [f"{label}.{part}" for label in table.col_labels for part in ("re", "im")]
@@ -186,42 +200,49 @@ def _csv_table(table: RenderedTable) -> str:
         headers = [""] + list(table.col_labels)
         cells = cells.real
     texts = _row_texts(cells, "%r", None, lambda spellings: ",".join(["", *spellings]))
-    out = [f"# {table.caption}", ",".join(map(_csv_field, headers))]
-    out += [_csv_field(label) + text for label, text in zip(table.row_labels, texts)]
-    return "\n".join(out)
+    out.append(f"# {table.caption}\n" + ",".join(map(_csv_field, headers)))
+    for label, text in zip(table.row_labels, texts):
+        out += ("\n", _csv_field(label), text)
 
 
-def _json_list(items: list[str], pad: str) -> str:
-    """Encoded items laid out as json.dumps(..., indent=2) lays out a list
-    whose opening line is indented by `pad`."""
+def _json_list(out: list, items: list[str], pad: str) -> list:
+    """Append to `out` the pieces of encoded `items` laid out as
+    json.dumps(..., indent=2) lays out a list whose opening line is
+    indented by `pad`."""
     if not items:
-        return "[]"
+        out.append("[]")
+        return out
     inner = "\n" + pad + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+    seps = ["," + inner] * len(items)
+    seps[0] = "[" + inner
+    out += chain.from_iterable(zip(seps, items))
+    out.append("\n" + pad + "]")
+    return out
 
 
-def _json_object(members: dict, last: str, pad: str) -> str:
-    """json.dumps(members, indent=2) indented by `pad`, with the value of the
-    last member, a placeholder 0, replaced by the encoded `last`."""
+def _json_head(members: dict, pad: str) -> str:
+    """json.dumps(members, indent=2) indented by `pad`, up to the value of
+    its last member, a placeholder 0; the caller writes that value and
+    then closes the object with "\\n" + pad + "}"."""
     text = json.dumps(members, indent=2)[: -len("0\n}")]
     # The encoder escapes every newline inside a string, so each raw
     # newline starts a line of the layout.
-    return text.replace("\n", "\n" + pad) + last + "\n" + pad + "}"
+    return text.replace("\n", "\n" + pad)
 
 
-def _json_section(section, pad: str) -> str:
+def _json_section(out: list, section, pad: str) -> None:
     """A section as json.dumps(..., indent=2) writes it `pad` deep. A table's
     cells are written by hand: the stdlib encoder runs its pure-Python path
     whenever `indent` is set, one function call per cell."""
     if not isinstance(section, RenderedTable):
         lines = {"kind": "lines", "caption": section.caption, "lines": list(section.lines)}
-        return json.dumps(lines, indent=2).replace("\n", "\n" + pad)
+        out.append(json.dumps(lines, indent=2).replace("\n", "\n" + pad))
+        return
     row_pad, cell_pad = pad + "    ", pad + "      "
-    pair = _json_list(["{}", "%r"], cell_pad)
-    rows = _row_texts(section.cells, "%r", pair, lambda spellings: _json_list(spellings, row_pad))
-    text = _json_list(rows, pad + "  ")
+    pair = "".join(_json_list([], ["{}", "%r"], cell_pad))
+    rows = _row_texts(section.cells, "%r", pair, lambda spellings: "".join(_json_list([], spellings, row_pad)))
     if not np.isfinite(section.cells).all():  # the encoder's spellings of non-finite floats
-        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        rows = [row.replace("nan", "NaN").replace("inf", "Infinity") for row in rows]
     members = {
         "kind": "table",
         "caption": section.caption,
@@ -229,20 +250,32 @@ def _json_section(section, pad: str) -> str:
         "col_labels": list(section.col_labels),
         "cells": 0,
     }
-    return _json_object(members, text, pad)
+    out.append(_json_head(members, pad))
+    _json_list(out, rows, pad + "  ")
+    out.append("\n" + pad + "}")
+
+
+def _pieces(out: list, section, fmt: str, precision: int) -> list:
+    """Append the pieces of one section to `out`."""
+    if fmt == "json":
+        _json_section(out, section, "")
+    elif isinstance(section, RenderedTable) and fmt == "text":
+        _text_table(out, section, precision)
+    elif isinstance(section, RenderedTable):
+        _csv_table(out, section)
+    else:
+        prefix = "\n# " if fmt == "csv" else "\n  "
+        out.append(f"# {section.caption}" if fmt == "csv" else section.caption)
+        for line in section.lines:
+            out += (prefix, line)
+    return out
 
 
 def render(section, fmt: str = "text", precision: int = 6) -> str:
     """Render one section in the given format."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
-    if fmt == "json":
-        return _json_section(section, "")
-    if isinstance(section, RenderedTable):
-        return _text_table(section, precision) if fmt == "text" else _csv_table(section)
-    if fmt == "csv":
-        return "\n".join([f"# {section.caption}"] + [f"# {line}" for line in section.lines])
-    return "\n".join([section.caption] + [f"  {line}" for line in section.lines])
+    return "".join(_pieces([], section, fmt, precision))
 
 
 def render_report(report: Report, fmt: str = "text", precision: int = 6) -> str:
@@ -250,9 +283,16 @@ def render_report(report: Report, fmt: str = "text", precision: int = 6) -> str:
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     if fmt == "json":
-        sections = _json_list([_json_section(s, "    ") for s in report.sections], "  ")
-        return _json_object({"title": report.title, "sections": 0}, sections, "") + "\n"
-    parts = [render(s, fmt, precision) for s in report.sections]
-    if fmt == "text":
-        return report.title + "\n\n" + "\n\n".join(parts) + "\n"
-    return f"# {report.title}\n" + "\n\n".join(parts) + "\n"
+        out = [_json_head({"title": report.title, "sections": 0}, "")]
+        for k, section in enumerate(report.sections):
+            out.append(",\n    " if k else "[\n    ")
+            _json_section(out, section, "    ")
+        out.append("\n  ]\n}\n" if report.sections else "[]\n}\n")
+        return "".join(out)
+    out = [report.title + "\n\n" if fmt == "text" else f"# {report.title}\n"]
+    for k, section in enumerate(report.sections):
+        if k:
+            out.append("\n\n")
+        _pieces(out, section, fmt, precision)
+    out.append("\n")
+    return "".join(out)

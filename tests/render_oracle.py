@@ -7,6 +7,8 @@ module gives. Nothing here is optimized, on purpose: each rule is written
 once, in its most direct form.
 """
 
+import csv
+import io
 import json
 
 from qprob.render import FORMATS, RenderedTable
@@ -52,9 +54,12 @@ def _text_table(table: RenderedTable, precision: int) -> str:
 
 
 def _csv_field(text: str) -> str:
-    if any(c in text for c in ",\"\n"):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
+    """`text` as the stdlib csv writer's default dialect spells a field
+    that is not alone on its line (csv.QUOTE_MINIMAL, which quotes both
+    line-break characters)."""
+    out = io.StringIO()
+    csv.writer(out).writerow([text, ""])
+    return out.getvalue()[: -len(",\r\n")]
 
 
 def _csv_table(table: RenderedTable) -> str:

@@ -1,5 +1,9 @@
 import ast
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -244,6 +248,35 @@ def test_validation_error_exits_two(capsys):
     code, _, err = run(capsys, "validate", "--scenario", str(MALFORMED / "03_bad_trace.json"))
     assert code == 2
     assert "unit trace" in err
+
+
+def test_running_out_of_memory_is_one_error_line(tmp_path):
+    # A 100 x 200 composite in a diagonal state: its 20,000 x 20,000
+    # operator needs 6 GB, past the 2 GB address space the child is given.
+    eye = [[[float(j == k), 0.0] for j in range(100)] for k in range(100)]
+    doc = {
+        "name": "big-diagonal",
+        "kind": "quantum",
+        "spaces": [{"id": "a", "dim": 100}, {"id": "b", "dim": 200}],
+        "composite": ["a", "b"],
+        "state": {"kind": "diagonal", "weights": [1 / 20000] * 20000},
+        "observables": [
+            {"id": "a-std", "space": "a", "channels": [{"label": f"a{k}", "vectors": [eye[k]]} for k in range(100)]}
+        ],
+    }
+    path = tmp_path / "big-diagonal.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+    def limit_address_space():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, hard))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "qprob", "validate", "--scenario", str(path)],
+                          capture_output=True, text=True, env=env, preexec_fn=limit_address_space, timeout=300)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("qprob: error: out of memory: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
 def test_zero_probability_collapse_exits_two(capsys, tmp_path):

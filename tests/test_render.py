@@ -1,8 +1,12 @@
+import csv
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qprob.hilbert import HilbertSpace, Op
 from qprob.render import (
     FORMATS,
     RenderedTable,
@@ -109,6 +113,61 @@ def test_csv_field_quoting():
     table = RenderedTable("t", ('weird,"label"',), ("v",), ((1.0,),))
     got = render(table, "csv")
     assert '"weird,""label"""' in got
+    for label in ("a\rb", "a\nb", "a,b", 'a"b', "\r\n"):
+        table = RenderedTable("cap", (label, "c"), ("x",), [[0.5], [0.25]])
+        rows = list(csv.reader(io.StringIO(render(table, "csv"), newline="")))
+        assert rows[1:] == [["", "x"], [label, "0.5"], ["c", "0.25"]]
+
+
+def test_an_owned_read_only_array_is_shared():
+    entries = Op(HilbertSpace(2, "s"), [[0.5, 0.5j], [-0.5j, 0.5]]).entries
+    table = RenderedTable("op", ("0", "1"), ("0", "1"), entries)
+    assert np.shares_memory(table.cells, entries)
+    real = np.array([[0.25, 0.75]])
+    real.flags.writeable = False
+    assert RenderedTable("t", ("r",), ("a", "b"), real).cells is real
+
+
+def test_a_read_only_view_of_a_writable_base_is_copied():
+    base = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
+    view = base[:, :]
+    view.flags.writeable = False
+    table = RenderedTable("op", ("0", "1"), ("0", "1"), view)
+    assert not np.shares_memory(table.cells, base)
+    base[0, 0] = 9.0
+    assert table.cells[0, 0] == 0.5
+    assert not table.cells.flags.writeable
+
+
+def _block_sparse_report() -> Report:
+    """Twelve posteriors of a 12 x 12 composite's first factor, each a
+    complex 144 x 144 table nonzero on its channel's 12 x 12 block: the
+    shape of `branches --obs a-std` on a 12 x 12 pure state."""
+    rng = np.random.default_rng(12)
+    labels = tuple(map(str, range(144)))
+    sections = [RenderedTable("branch probabilities", tuple(f"a{k}" for k in range(12)), ("probability",),
+                              np.full((12, 1), 1 / 12))]
+    for k in range(12):
+        cells = np.zeros((144, 144), dtype=complex)
+        block = np.s_[12 * k : 12 * k + 12, 12 * k : 12 * k + 12]
+        cells[block] = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        cells.flags.writeable = False
+        sections.append(RenderedTable(f"branch 'a{k}': a-posteriori operator", labels, labels, cells))
+    return Report("branches: scenario 'pure-12x12'", sections)
+
+
+@pytest.mark.parametrize("fmt, times", [("json", 2), ("csv", 2), ("text", 3)])
+def test_a_report_is_held_once_beside_its_pieces(fmt, times):
+    report = _block_sparse_report()
+    render_report(report, fmt)  # first-call caches are not the report's
+    tracemalloc.start()
+    try:
+        text = render_report(report, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 1_000_000
+    assert peak <= times * len(text) + 256 * 1024
 
 
 def test_json_section_and_complex_pairs():
