@@ -16,6 +16,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, field, fields
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -553,8 +554,15 @@ def run_command(command: str, scn: Scenario, opts: Options) -> Report:
     return Report(f"{command}: scenario '{scn.name}'", tuple(spec.handler(scn, opts)))
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    # Building the parser costs more than a parse, and parsing leaves it as
+    # it was, so every call in one process shares one.
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,28 +1,35 @@
 """Deterministic table rendering: aligned text, csv, and structured json.
 
 A table's cells are one read-only 2-D float64 or complex128 array: an
-operator's own entries, shared, or a copy of anything else. Every format
-writes a whole row with one %-format call, with no Python function call
-per cell, on a template built once per row pattern; floats become Python
-numbers one row at a time, just before that row is written. In a table
-whose real parts are at least half +0.0, a float whose bits are all zero
-passes no argument: its template holds the field's own spelling of it ("0"
-in text, "0.0" in csv and json) as literal text, so the table costs what
-its other floats cost; -0.0 keeps its field, which csv and json print. A
-posterior that lives on one channel's block is such a table. A complex
-cell's zero imaginary part, of either sign, passes nothing. Aligned text
-formats numbers with %.{precision}g, negative zero as 0, and a complex
-cell with a zero imaginary part prints as its real part; column widths
-come from the formatted strings, and one format string per table lays out
-every line. CSV keeps full float precision (shortest round-trip repr) so
-re-parsing recovers the in-memory values bit for bit; a table with any
-nonzero imaginary part splits every column into .re/.im columns. The json
-format mirrors the scenario file convention: complex numbers as [re, im]
-pairs. Its bytes are those of `json.dumps(payload, indent=2)`, but only
-the small skeleton (title, captions, labels, lines) goes through the
-encoder: with `indent` set, the stdlib runs its pure-Python encoder, one
-function call per cell, so the cells are written by hand in the same
-layout. Output is ASCII throughout so bytes do not depend on the locale.
+operator's own entries, shared, or a copy of anything else. No format
+makes a Python function call per cell: floats are written by %-format
+calls on templates built once per row pattern. In a table whose real
+parts are at least half +0.0, a float whose bits are all zero passes no
+argument: its template holds the field's own spelling of it ("0" in text,
+"0.0" in csv and json) as literal text, so the table costs what its other
+floats cost; -0.0 keeps its field, which csv and json print. A posterior
+that lives on one channel's block is such a table. A complex cell's zero
+imaginary part, of either sign, passes nothing, and a row that passes
+nothing is its template, written with no call.
+
+CSV and json write each row with one call on that row's floats, which
+become Python numbers a row at a time. Aligned text formats numbers with
+%.{precision}g, negative zero as 0, and a complex cell with a zero
+imaginary part prints as its real part. It spells the cells that pass a
+float in one call per table and measures only those spellings: a column is
+as wide as its header, its widest passing spelling, and 1 where a literal
+0 stands. Each row is then written through a template of its pattern of
+passing cells with the widths built in, so a literal 0 is written already
+padded, neither formatted nor measured. CSV keeps full float precision
+(shortest round-trip repr) so re-parsing recovers the in-memory values bit
+for bit; a table with any nonzero imaginary part splits every column into
+.re/.im columns. The json format mirrors the scenario file convention:
+complex numbers as [re, im] pairs. Its bytes are those of
+`json.dumps(payload, indent=2)`, but only the small skeleton (title,
+captions, labels, lines) goes through the encoder: with `indent` set, the
+stdlib runs its pure-Python encoder, one function call per cell, so the
+cells are written by hand in the same layout. Output is ASCII throughout
+so bytes do not depend on the locale.
 
 A report, or a single section, is gathered as one flat list of pieces
 (skeleton, captions, labels, row texts, separators) and joined once, so
@@ -118,31 +125,29 @@ class Report:
         object.__setattr__(self, "sections", tuple(self.sections))
 
 
-def _row_texts(cells: np.ndarray, real: str, pair: str | None, join) -> list[str]:
-    """Each row of `cells` as one string, made by one %-format call on
-    that row's floats, which become Python numbers a row at a time.
+def _passing(cells: np.ndarray, real: str, pair: str | None):
+    """How the floats of `cells` are written: their spellings, the floats
+    as rows of one float64 array, a mask of those that pass an argument to
+    a %-format call and each cell's spelling index, the last two None when
+    every float passes.
 
     Where at least half of a table's real parts are +0.0, all bits zero,
-    such a float passes no argument: its template writes `real % 0.0`, the
-    field's own spelling of +0.0, as literal text, so a row costs what its
-    other floats cost. Where they are fewer, every real part passes: that
-    costs at most twice as much, and a dense table's stray zeros do not
-    give each row a template of its own. A complex table's rows are read
-    as (re, im) pairs: a cell with a nonzero imaginary part is spelled
-    `pair`, with its real part's spelling in place of "{}"; any other cell
-    is spelled as its real part, and its imaginary part, zero of either
-    sign, passes nothing. `join` turns a row's spellings into its
-    template; rows whose floats pass arguments in the same places share
-    one, and a row that passes none is its template itself.
+    such a float passes no argument: its spelling holds `real % 0.0`, the
+    field's own spelling of +0.0, as literal text. Where they are fewer,
+    every real part passes: that costs at most twice as much, and a dense
+    table's stray zeros do not give each row a template of its own. A
+    complex table's rows are read as (re, im) pairs: a cell with a nonzero
+    imaginary part is spelled `pair`, with its real part's spelling in
+    place of "{}"; any other cell is spelled as its real part, and its
+    imaginary part, zero of either sign, passes nothing.
     """
     spellings = [real % 0.0, real]
     split = np.iscomplexobj(cells) and bool(cells.imag.any())
     if split:
         spellings += [pair.format(spellings[0]), pair.format(real)]
     flat = np.ascontiguousarray(cells if split else cells.real).view(np.float64)
-    if np.count_nonzero(flat) == flat.size:  # no zero anywhere: one template
-        template = join([spellings[-1]] * cells.shape[1])
-        return [template % tuple(row.tolist()) for row in flat]
+    if np.count_nonzero(flat) == flat.size:  # no zero anywhere
+        return spellings, flat, None, None
     passes = flat.view(np.uint64) != 0
     reals = passes[:, ::2] if split else passes
     if 2 * np.count_nonzero(reals) > reals.size:
@@ -153,33 +158,86 @@ def _row_texts(cells: np.ndarray, real: str, pair: str | None, join) -> list[str
         # its imaginary part passes.
         passes[:, 1::2] = cells.imag != 0
         codes = codes[:, ::2] + 2 * codes[:, 1::2]
-    marks = passes.tobytes()  # a byte per float, 1 if it passes
-    width = passes.shape[1]
-    keys = [marks[k * width : (k + 1) * width] for k in range(len(passes))]
+    return spellings, flat, passes, codes
+
+
+def _row_keys(mask: np.ndarray) -> list[bytes]:
+    """Each row's pattern: a byte per entry of `mask`, 1 where it is set."""
+    marks, width = mask.tobytes(), mask.shape[1]
+    return [marks[k * width : (k + 1) * width] for k in range(len(mask))]
+
+
+def _row_texts(cells: np.ndarray, real: str, pair: str | None, join) -> list[str]:
+    """Each row of `cells` as one string, made by one %-format call on the
+    floats of that row that pass (see `_passing`), which become Python
+    numbers a row at a time. `join` turns a row's spellings into its
+    template; rows whose floats pass in the same places share one, and a
+    row that passes none is its template itself, with no call.
+    """
+    spellings, flat, passes, codes = _passing(cells, real, pair)
+    if passes is None:
+        template = join([spellings[-1]] * cells.shape[1])
+        return [template % tuple(row.tolist()) for row in flat]
+    keys = _row_keys(passes)
     last = dict(zip(keys, range(len(keys))))  # a row of each key
     templates = {key: join([spellings[c] for c in codes[row].tolist()]) for key, row in last.items()}
     args = flat[passes]  # the passing floats, in row order
     ends = list(accumulate(key.count(1) for key in keys))
-    return [templates[key] % tuple(args[a:b].tolist()) for key, a, b in zip(keys, [0, *ends], ends)]
+    return [templates[key] % tuple(args[a:b].tolist()) if b > a else templates[key]
+            for key, a, b in zip(keys, [0, *ends], ends)]
 
 
 def _text_table(out: list, table: RenderedTable, precision: int) -> None:
-    cells = table.cells
-    real = _number(precision)
-    if table.arrow_pair:
-        headers, join = ["", f"{table.col_labels[0]} -> {table.col_labels[1]}"], " -> ".join
+    """Aligned text: labels left-justified, every other column
+    right-justified to its widest entry, two spaces apart. The passing
+    cells are spelled in one %-format call and measured; each literal 0
+    is one character wide and stands already padded in the row templates.
+    """
+    pair = "{}" + _number(precision, "+") + "j"
+    spellings, flat, passes, codes = _passing(table.cells + 0.0, _number(precision), pair)
+    rows, cols = table.cells.shape
+    zero, headers = spellings[0], list(table.col_labels)
+    live = None if passes is None else codes != 0  # None: every cell passes
+    if live is None:
+        formats = [spellings[-1]] * (rows * cols)
     else:
-        headers, join = ["", *table.col_labels], "\0".join
-    texts = _row_texts(cells + 0.0, real, "{}" + _number(precision, "+") + "j", join)
-    if cells.shape[1]:
-        body = [(label, *text.split("\0")) for label, text in zip(table.row_labels, texts)]
+        formats, flat = np.array(spellings, object)[codes[live]].tolist(), flat[passes]
+        if len(formats) == live.size:
+            live = None
+    texts = ("\0".join(formats) % tuple(flat.ravel().tolist())).split("\0") if formats else []
+    if table.arrow_pair:  # one column, "first -> second"
+        if live is not None:
+            every = np.full(live.shape, zero, object)
+            every[live] = texts
+            texts, live = every.ravel().tolist(), None
+        headers, texts, cols = [" -> ".join(headers)], [f"{a} -> {b}" for a, b in zip(texts[::2], texts[1::2])], 1
+    if live is None:
+        lengths = list(map(len, headers + texts))
+        widths = [max(lengths[j::cols]) for j in range(cols)]
     else:
-        body = [(label,) for label in table.row_labels]
-    widths = [max(map(len, column)) for column in zip(headers, *body)]
-    layout = "  ".join([f"%-{widths[0]}s"] + [f"%{w}s" for w in widths[1:]])
-    out.append(table.caption)
-    for row in [headers, *body]:
-        out += ("\n", (layout % tuple(row)).rstrip())
+        lengths = np.ones((rows + 1, cols), np.int64)  # a literal 0 is one character wide
+        lengths[0] = list(map(len, headers))
+        lengths[1:][live] = list(map(len, texts))
+        widths = lengths.max(axis=0).tolist()
+    label_width = max(map(len, table.row_labels), default=0)
+    fields = [f"  %{w}s" for w in widths]
+    out += (table.caption, "\n", (" " * label_width + "".join(fields) % tuple(headers)).rstrip())
+    if not cols:
+        for label in table.row_labels:
+            out += ("\n", label.rstrip())
+    elif live is None:
+        template = "".join(fields)
+        for label, row in zip(table.row_labels, zip(*[iter(texts)] * cols)):  # texts in rows of `cols`
+            out += ("\n", label.ljust(label_width), template % row)
+    else:
+        templates, a = {}, 0
+        for label, key in zip(table.row_labels, _row_keys(live)):
+            template = templates.get(key)
+            if template is None:
+                template = templates[key] = "".join([f if k else f % zero for k, f in zip(key, fields)])
+            b = a + key.count(1)
+            out += ("\n", label.ljust(label_width), template % tuple(texts[a:b]) if b > a else template)
+            a = b
 
 
 def _csv_field(text: str) -> str:

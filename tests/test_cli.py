@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from qprob import load_preset
-from qprob.cli import Options, main, run_command
+from qprob.cli import Options, build_parser, main, run_command
 from qprob.errors import IncompatibleCommandError
 from tests.helpers import PRESETS, variant
 from tests.test_eigen_sites import SRC
@@ -366,6 +366,35 @@ def test_version_exits_zero(capsys):
     assert main(["--version"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("qprob ")
+
+
+# Argvs that leave argparse by every route: version, help, a usage error,
+# a choice error, and full runs in each format.
+SHARED_PARSER_ARGVS = [
+    ["--version"],
+    ["--help"],
+    ["gross", "--help"],
+    ["gross", "--preset", "coin", "--precision", "0"],
+    ["gross", "--preset", "nosuch"],
+    *[["gross", "--preset", "coin", "--format", fmt] for fmt in ("text", "csv", "json")],
+    ["net", "--preset", "cat-master"],
+]
+
+
+def test_main_gives_the_same_outcome_whatever_ran_before(capsys):
+    # main shares one parser across the calls of a process; no call may
+    # leave anything in it that the next one sees.
+    capsys.readouterr()
+
+    def outcome(argv):
+        code = main(list(argv))
+        return (code, *capsys.readouterr())
+
+    forwards = [outcome(argv) for argv in SHARED_PARSER_ARGVS]
+    backwards = [outcome(argv) for argv in reversed(SHARED_PARSER_ARGVS)][::-1]
+    assert forwards == backwards
+    assert [code for code, _, _ in forwards] == [0, 0, 0, 1, 1, 0, 0, 0, 0]
+    assert build_parser() is not build_parser()
 
 
 def test_json_format_parses(capsys):
