@@ -259,10 +259,6 @@ def tensor(a, b):
     raise TypeError("tensor expects two Vec or two Op arguments")
 
 
-_MAX_AXES = 64  # numpy's limits: axes of one array,
-_MAX_LABELS = 52  # and distinct einsum labels
-
-
 def partial_trace(m: Op, comp: CompositeSpace, keep: int | tuple[int, ...]) -> Op:
     """Trace out every factor of `comp` except `keep`.
 
@@ -285,36 +281,19 @@ def partial_trace(m: Op, comp: CompositeSpace, keep: int | tuple[int, ...]) -> O
         raise ValueError(f"keep indices {kept} must be distinct and not empty")
     if kept == tuple(range(n)):
         return m  # nothing to trace out
-    # One axis per run: a run of traced-out factors, or of kept factors that
-    # `keep` names in the same order. The einsum labels axes by position:
-    # run r's row axis is r, and so is its column axis if r is traced out;
-    # the column axes of kept runs take the labels after the rows', in keep
-    # order. The axis count follows the number of runs, not of factors.
-    position = {k: i for i, k in enumerate(kept)}
-    shape: list[int] = []
-    runs: list[int | None] = []  # each run's position in keep, None if traced out
-    last = None
-    for k, dim in enumerate(comp.dims):
-        p = position.get(k)
-        if shape and (p is None if last is None else p == last + 1):
-            shape[-1] *= dim
-        else:
-            shape.append(dim)
-            runs.append(p)
-        last = p
-    rows = [r for _, r in sorted((p, r) for r, p in enumerate(runs) if p is not None)]
-    cols = [len(runs) + j for j in range(len(rows))]
-    if 2 * len(runs) > _MAX_AXES or len(runs) + len(rows) > _MAX_LABELS:
-        raise ValueError(
-            f"keep {kept} splits the {n} factors into {len(runs)} runs, {len(rows)} of them kept; "
-            f"numpy's einsum takes at most {_MAX_AXES} axes and {_MAX_LABELS} labels"
-        )
-    column = list(range(len(runs)))
+    # One axis per factor of dim > 1; a factor of dim 1 carries no index.
+    # The einsum labels axes by position: axis a's row label is a, and so is
+    # its column label if its factor is traced out; the column labels of
+    # kept factors follow the rows', in keep order.
+    axes = [k for k, dim in enumerate(comp.dims) if dim > 1]
+    rows = [axes.index(k) for k in kept if k in axes]
+    cols = list(range(len(axes), len(axes) + len(rows)))
+    column = list(range(len(axes)))
     for r, label in zip(rows, cols):
         column[r] = label
     size = math.prod(comp.dims[k] for k in kept)
-    entries = m.entries.reshape(shape * 2)
-    reduced = np.einsum(entries, list(range(len(runs))) + column, rows + cols).reshape(size, size)
+    entries = m.entries.reshape([comp.dims[k] for k in axes] * 2)
+    reduced = np.einsum(entries, list(range(len(axes))) + column, rows + cols).reshape(size, size)
     return Op(_product_space(*(comp.factors[k] for k in kept)), reduced)
 
 

@@ -7,6 +7,9 @@ the orthogonality and completeness residuals instead of guessing. A
 quantitative observable attaches a distinct real value to every channel.
 Lifting embeds a factor-local observable into a composite space; conjoining
 two commuting lifted observables multiplies their channel families.
+
+Every check here reads the channel bases, stacked once as U = [V_1 ... V_n],
+and builds no channel's projector P_i = V_i V_i^dag.
 """
 
 from __future__ import annotations
@@ -96,22 +99,29 @@ class ObservableValidation:
         return self.passed
 
 
+def _stacked(obs: Observable) -> tuple[np.ndarray, np.ndarray]:
+    """U = [V_1 ... V_n] and the index of the channel that owns each column."""
+    ranks = [ch.rank for ch in obs.channels]
+    return np.hstack([ch.basis_matrix for ch in obs.channels]), np.repeat(np.arange(len(ranks)), ranks)
+
+
 def validate_observable(obs: Observable, tol: float = INVARIANT_TOL) -> ObservableValidation:
     """Report how far an observable is from being a complete, mutually
-    exclusive family: max pairwise product residual (with the offending
-    pair), completeness residual |sum of projectors - I|, and any empty
-    channels."""
-    worst = 0.0
-    worst_pair: tuple[str, str] | None = None
-    mats = [ch.projector.entries for ch in obs.channels]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            r = cheb_norm(mats[i] @ mats[j])
-            if not (r <= worst or np.isnan(worst)):  # the first NaN product is the worst
-                worst = r
-                worst_pair = (obs.labels[i], obs.labels[j])
-    total = sum(mats, np.zeros((obs.space.dim, obs.space.dim), dtype=np.complex128))
-    completeness = cheb_norm(total - np.eye(obs.space.dim))
+    exclusive family: the largest |V_i^dag V_j| entry over channel pairs
+    i < j of the one Gram matrix U^dag U (|V_i^dag V_j|_2 = |P_i P_j|_2 for
+    orthonormal bases), with its pair, the first NaN pair else the first
+    largest; the completeness residual |U U^dag - I| = |sum P_i - I|; and
+    any empty channels (Nielsen & Chuang, section 2.2.5)."""
+    u, owner = _stacked(obs)
+    n = obs.channel_count
+    blocks = np.zeros((n, n))  # blocks[i, j]: the largest |V_i^dag V_j| entry; NaN propagates
+    np.maximum.at(blocks, (owner[:, None], owner[None, :]), np.abs(u.conj().T @ u))
+    first, second = np.triu_indices(n, 1)  # pairs in the order (0, 1), (0, 2), ..., (1, 2), ...
+    residuals = blocks[first, second]
+    k = int(np.argmax(residuals)) if residuals.size else None  # argmax takes the first NaN as the largest
+    worst = 0.0 if k is None else float(residuals[k])
+    worst_pair = None if worst == 0 else (obs.labels[first[k]], obs.labels[second[k]])
+    completeness = cheb_norm(u @ u.conj().T - np.eye(obs.space.dim))
     nulls = tuple(lbl for lbl, ch in zip(obs.labels, obs.channels) if ch.is_null)
     return ObservableValidation(worst, worst_pair, completeness, nulls, tol)
 
@@ -137,11 +147,9 @@ class QuantitativeObservable:
 
 
 def build_operator(q: QuantitativeObservable) -> Op:
-    """The hermitian operator sum(value_i * projector_i)."""
-    total = np.zeros((q.space.dim, q.space.dim), dtype=np.complex128)
-    for value, ch in zip(q.values, q.base.channels):
-        total = total + value * ch.projector.entries
-    return Op(q.space, total)
+    """The hermitian operator sum(value_i * projector_i) = U diag(values) U^dag."""
+    u, owner = _stacked(q.base)
+    return Op(q.space, (u * np.array(q.values)[owner]) @ u.conj().T)
 
 
 def expectation(q: QuantitativeObservable, prob) -> float:
@@ -213,11 +221,14 @@ def lift(obs: Observable, comp: CompositeSpace, factor: int | None = None) -> Ob
 
 def _require_commuting(a: Observable, b: Observable, tol: float) -> None:
     """Reject the first channel pair (a_i, b_j) whose projectors do not
-    commute within tol, naming the pair and its commutator residual."""
+    commute within tol, naming the pair and its commutator residual
+    |M - M^dag|, with M = V_a (V_a^dag V_b) V_b^dag = P_a P_b."""
     for la, ea in zip(a.labels, a.channels):
+        va = ea.basis_matrix
         for lb, eb in zip(b.labels, b.channels):
-            pa, pb = ea.projector.entries, eb.projector.entries
-            report = StructureReport("commutator", cheb_norm(pa @ pb - pb @ pa), tol)
+            vb = eb.basis_matrix
+            m = va @ (va.conj().T @ vb) @ vb.conj().T
+            report = StructureReport("commutator", cheb_norm(m - m.conj().T), tol)
             report.require(f"channels {la!r} and {lb!r} do not commute")
 
 

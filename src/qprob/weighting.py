@@ -78,10 +78,12 @@ def entropy_capacity(dim: int, channel_rank: int, log_base=2) -> float:
 
 def shannon_entropy(probabilities, log_base=2) -> float:
     """Shannon entropy -sum(p log p) with the 0 log 0 = 0 convention.
-    Normalization is the caller's responsibility."""
+    Normalization is the caller's responsibility; a non-finite or negative
+    probability is a ValueError."""
     total = 0.0
     for p in probabilities:
         p = float(p)
+        _require_finite("probability", p)
         if p < 0:
             raise ValueError(f"probabilities must be nonnegative, got {p}")
         if p > 0:

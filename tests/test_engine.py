@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qprob.engine
+import qprob.observables
 from qprob import (
     CompositeSpace,
     CorrelationReport,
@@ -205,9 +206,9 @@ def test_every_primitive_refuses_spaces_off_its_composite(name):
         run(CAT_STATE, cat, None)
 
 
-def _engine_sites(match) -> list:
-    """The name of the innermost function around each node of engine.py
-    that `match` accepts, in source order."""
+def _engine_sites(match, module=qprob.engine) -> list:
+    """The name of the innermost function around each node of `module`
+    (engine.py by default) that `match` accepts, in source order."""
     found = []
 
     def walk(node, function):
@@ -216,13 +217,18 @@ def _engine_sites(match) -> list:
         for child in ast.iter_child_nodes(node):
             walk(child, child.name if isinstance(child, ast.FunctionDef) else function)
 
-    walk(ast.parse(Path(qprob.engine.__file__).read_text(encoding="utf-8")), None)
+    walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8")), None)
     return found
 
 
 def test_engine_resolves_comp_once_and_reads_projectors_in_one_place():
+    def reads_projector(node):
+        return isinstance(node, ast.Attribute) and node.attr == "projector"
+
     assert _engine_sites(lambda n: isinstance(n, ast.Compare) and ast.unparse(n) == "comp is None") == ["_composite"]
-    assert set(_engine_sites(lambda n: isinstance(n, ast.Attribute) and n.attr == "projector")) == {"_projectors"}
+    assert set(_engine_sites(reads_projector)) == {"_projectors"}
+    # Observables are checked and built through their channel bases.
+    assert _engine_sites(reads_projector, qprob.observables) == []
     # The one operator-versus-composite guard, besides the operator's own
     # matrix check and the transported eventuality's.
     raises = _engine_sites(lambda n: isinstance(n, ast.Raise) and "SpaceMismatchError" in ast.unparse(n))

@@ -86,8 +86,11 @@ def test_validate_flags_nonorthogonal_pair():
     )
     report = validate_observable(obs)
     assert not report.passed
-    # |P0 P+| has max entry 1/2
-    assert report.orthogonality_residual == pytest.approx(0.5)
+    # The residual is read on the channel bases: <0|+> = 1/sqrt(2). The
+    # projector product P0 P+ has the same spectral norm, but its largest
+    # entry is 1/2, which is what the residual read before it moved to the
+    # bases.
+    assert report.orthogonality_residual == pytest.approx(1 / np.sqrt(2))
     assert report.worst_pair == ("z", "x")
 
 

@@ -51,6 +51,10 @@ def test_shannon_entropy():
     assert shannon_entropy([0.5, 0.5], log_base="e") == pytest.approx(math.log(2))
     with pytest.raises(ValueError):
         shannon_entropy([-0.1, 1.1])
+    with pytest.raises(ValueError, match="probability must be finite, got nan"):
+        shannon_entropy([math.nan, 1.0])
+    with pytest.raises(ValueError, match="probability must be finite, got inf"):
+        shannon_entropy([math.inf])
 
 
 @settings(max_examples=300, deadline=None)
