@@ -5,12 +5,12 @@ operator; the probability it assigns to an eventuality is tr(P e). On
 composites, reduced operators arise by partial trace, and conditioning by
 the projector sandwich e P e / tr(P e). Channel probabilities and joint
 tables of observables on factors of a composite are read from the
-operator reduced to those factors, with no lifted projector; without a
-composite, the operator's own space is the one factor. Decoherence of a
-provisional operator over an observable is the sandwich sum over its
-channels; pure inputs decompose into branch vectors. Conditioning on an
-eventuality of probability below the zero threshold is a loud error,
-never a silent NaN.
+operator reduced to those factors, through the channel bases and with no
+projector; without a composite, the operator's own space is the one
+factor. Decoherence of a provisional operator over an observable is the
+sandwich sum over its channels; pure inputs decompose into branch vectors.
+Conditioning on an eventuality of probability below the zero threshold is
+a loud error, never a silent NaN.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .hilbert import (
     structure_check,
 )
 from .lattice import Eventuality
-from .observables import Observable, _require_commuting
+from .observables import Observable, _require_commuting, _stacked
 
 __all__ = [
     "HERMITIAN_TOL",
@@ -146,22 +146,24 @@ def _require_invariants(a: np.ndarray, skew: float, blocks=None) -> tuple[Struct
     return herm, trace, StructureReport("psd", max(skew, deficit), PSD_TOL).require(f"{must} be positive semidefinite")
 
 
-# -- factor-local tables ------------------------------------------------
+# -- tables through channel bases ----------------------------------------
 #
 # On a composite, a table over factor-local observables depends only on
 # the operator reduced to their factors (Nielsen & Chuang, section 2.4.3):
 # tr(P (a_i x b_j)) = tr(P_kl (a_i x b_j)) with P_kl the partial trace onto
-# factors k and l. `born` and `joint_matrix` contract the reduced operator,
-# with one axis per factor index, against the stacked factor projectors;
-# no D x D product is formed and no lifted projector is built.
-
-# Contract the operator with the first projector stack, then with the
-# second: the intermediate has one projector index and two factor indices.
-_PAIRWISE = ["einsum_path", (0, 1), (0, 1)]
+# factors k and l. A channel with basis V reads tr(R V V^dag) as the sum of
+# <v|R|v> over the columns v of V (section 2.2.5): with U = [V_1 ... V_n],
+# each channel's cells are summed in column order. No channel's projector is
+# built; two factors meet R through the outer products of their own columns.
 
 
-def _projectors(x: Observable | Eventuality) -> np.ndarray:  # an eventuality is a stack of one
-    return np.array([ch.projector.entries for ch in (x.channels if isinstance(x, Observable) else (x,))])
+def _channel_reads(r: np.ndarray, channels: tuple[Eventuality, ...], v: np.ndarray | None = None) -> np.ndarray:
+    # tr(R V_j V_j^dag) per channel; with v, of the bases compressed to v^dag V_j.
+    u, owner = _stacked(channels)
+    u = u if v is None else v.conj().T @ u
+    probs = np.zeros(len(channels))
+    np.add.at(probs, owner, (u.conj() * (r @ u)).real.sum(axis=0))
+    return probs
 
 
 def _composite(prob: ProbabilityOperator, comp: CompositeSpace | None) -> CompositeSpace:
@@ -185,7 +187,7 @@ def born(prob: ProbabilityOperator, x, *, comp: CompositeSpace | None = None) ->
     x's space is a factor of (None: the operator's own space); P is
     reduced to that factor once, and read unchecked there. Raw values;
     clamping to [0, 1] is presentation-side only."""
-    probs = np.einsum("xy,jyx->j", _reduced(prob, comp, x.space), _projectors(x)).real
+    probs = _channel_reads(_reduced(prob, comp, x.space), x.channels if isinstance(x, Observable) else (x,))
     return probs if isinstance(x, Observable) else float(probs[0])
 
 
@@ -310,16 +312,19 @@ def joint_matrix(
     Two observables on one space must commute within tol; a violation is
     rejected naming the pair ([A x I, B x I] = [A, B] x I has the same
     residual). Lifts of observables on different factors commute exactly."""
+    (u, row_owner), (w, col_owner) = _stacked(rows.channels), _stacked(cols.channels)
     if rows.space == cols.space:
         reduced = _reduced(prob, comp, rows.space)
         _require_commuting(rows, cols, tol)
-        subscripts = "xy,iyz,jzx->ij"
-    else:
+        cells = (u.conj().T @ w) * (w.conj().T @ reduced @ u).T  # C o M^T, C = U^dag W, M = W^dag R U
+    else:  # <u_a w_b|R|u_a w_b>: R's row and column index pairs meet the outer products of each factor's columns
         n, m = rows.space.dim, cols.space.dim
-        reduced = _reduced(prob, comp, rows.space, cols.space).reshape(n, m, n, m)
-        subscripts = "xyzw,izx,jwy->ij"
-    table = np.einsum(subscripts, reduced, _projectors(rows), _projectors(cols), optimize=_PAIRWISE)
-    return JointProbabilityMatrix(rows, cols, table.real)
+        reduced = _reduced(prob, comp, rows.space, cols.space).reshape(n, m, n, m).transpose(0, 2, 1, 3)
+        outers = [(v.conj()[:, None] * v).reshape(v.shape[0] ** 2, -1) for v in (u, w)]  # [(x, z), a]: conj(v_xa) v_za
+        cells = outers[0].T @ reduced.reshape(n * n, m * m) @ outers[1]
+    table = np.zeros((rows.channel_count, cols.channel_count))
+    np.add.at(table, (row_owner[:, None], col_owner), cells.real)  # per channel pair, in column order
+    return JointProbabilityMatrix(rows, cols, table)
 
 
 def conditional(
@@ -345,10 +350,7 @@ def conditional(
     k = comp.factor_index(given.space)
     kept = CompositeSpace(comp.factors[:k] + (HilbertSpace(given.rank, "range"),) + comp.factors[k + 1:])
     reduced = partial_trace(Op(kept.space, posterior), kept, comp.factor_index(target.space)).entries
-    b = _projectors(target)
-    if target.space == given.space:
-        b = s.v.conj().T @ b @ s.v  # the target channels compressed to the range of V
-    return np.einsum("xy,jyx->j", reduced, b).real
+    return _channel_reads(reduced, target.channels, s.v if target.space == given.space else None)
 
 
 def luder(prob: ProbabilityOperator, obs: Observable, *, comp: CompositeSpace | None = None) -> ProbabilityOperator:

@@ -1,17 +1,16 @@
 """Eventualities as Hilbert subspaces, plus the Boolean counterpart.
 
 An eventuality is a subspace, carried as a deterministically ordered
-orthonormal basis with a cached projector. The lattice operations are
-meet (subspace intersection), join (span of the union), orthocomplement,
-and the implication partial order. A small classical (measure-theoretic)
-model ships alongside for contrast: there the sum rule for joins is exact,
-while the quantum join in general is not.
+orthonormal basis; its projector is formed when it is read, never kept.
+The lattice operations are meet (subspace intersection), join (span of
+the union), orthocomplement, and the implication partial order. A small
+classical (measure-theoretic) model ships alongside for contrast: there
+the sum rule for joins is exact, while the quantum join in general is not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,8 +28,9 @@ __all__ = [
 CLASSICAL_SUM_TOL = 1e-12
 
 
-def _pivoted_orthonormalize(columns: list[np.ndarray], tol: float) -> np.ndarray:
-    """Rank-revealing modified Gram-Schmidt with pivoting.
+def _pivoted_orthonormalize(columns: list[np.ndarray], dim: int, tol: float) -> np.ndarray:
+    """Rank-revealing modified Gram-Schmidt with pivoting, on columns of
+    length dim; no columns give the null subspace's dim x 0 basis.
 
     Each round picks the residual of largest norm (ties break toward the
     lowest index), so the output basis order is deterministic. Residuals
@@ -38,7 +38,6 @@ def _pivoted_orthonormalize(columns: list[np.ndarray], tol: float) -> np.ndarray
     the basis orthonormal to machine precision.
     """
     remaining = [np.array(c, dtype=np.complex128) for c in columns]
-    dim = remaining[0].shape[0] if remaining else 0
     basis: list[np.ndarray] = []
     while remaining and len(basis) < dim:
         norms = [float(np.linalg.norm(v)) for v in remaining]
@@ -75,7 +74,7 @@ def _as_column_list(space: HilbertSpace, vectors) -> list[np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class Eventuality:
-    """A subspace of a Hilbert space: orthonormal basis plus projector.
+    """A subspace of a Hilbert space, held as an orthonormal basis.
 
     The classmethods orthonormalize and order the basis deterministically.
     The constructor itself trusts columns already known orthonormal (basis
@@ -100,15 +99,15 @@ class Eventuality:
     def from_span(cls, space: HilbertSpace, vectors, tol: float = INVARIANT_TOL) -> "Eventuality":
         """Subspace spanned by the given vectors. Dependent directions
         collapse; near-zero residuals (norm < tol) are dropped. An empty
-        span is the null subspace. A vector whose norm overflows a float
-        is a ValueError: its direction cannot be computed."""
+        span is the null subspace. A vector with a non-finite component, or
+        whose norm overflows a float, is a ValueError: it has no direction."""
         cols = _as_column_list(space, vectors)
-        if not cols:
-            return cls.null(space)
+        if not all(np.isfinite(c).all() for c in cols):
+            raise ValueError("spanning vector has a non-finite component")
         with np.errstate(over="ignore"):
             if not all(np.isfinite(np.linalg.norm(c)) for c in cols):
                 raise ValueError("spanning vector norm overflows a float")
-        return cls(space, _pivoted_orthonormalize(cols, tol))
+        return cls(space, _pivoted_orthonormalize(cols, space.dim, tol))
 
     @classmethod
     def from_projector(cls, projector: Op, tol: float = INVARIANT_TOL) -> "Eventuality":
@@ -151,7 +150,7 @@ class Eventuality:
     def basis(self) -> tuple[Vec, ...]:
         return tuple(Vec(self.space, self.basis_matrix[:, k]) for k in range(self.rank))
 
-    @cached_property
+    @property
     def projector(self) -> Op:
         return Op(self.space, self.basis_matrix @ self.basis_matrix.conj().T)
 
@@ -180,9 +179,7 @@ class Eventuality:
         self._require_same(other)
         cols = [self.basis_matrix[:, k] for k in range(self.rank)]
         cols += [other.basis_matrix[:, k] for k in range(other.rank)]
-        if not cols:
-            return Eventuality.null(self.space)
-        return Eventuality(self.space, _pivoted_orthonormalize(cols, tol))
+        return Eventuality(self.space, _pivoted_orthonormalize(cols, self.space.dim, tol))
 
     def orthocomplement(self, tol: float = INVARIANT_TOL) -> "Eventuality":
         eye = Op.identity(self.space)
@@ -191,7 +188,8 @@ class Eventuality:
     def leq(self, other: "Eventuality", tol: float = INVARIANT_TOL) -> bool:
         """Implication order: self <= other iff P2 P1 = P1."""
         self._require_same(other)
-        return cheb_norm(other.projector.entries @ self.projector.entries - self.projector.entries) <= tol
+        p = self.projector.entries  # formed once: projectors are not kept
+        return cheb_norm(other.projector.entries @ p - p) <= tol
 
     def equals(self, other: "Eventuality", tol: float = INVARIANT_TOL) -> bool:
         """Same subspace, i.e. projectors agree within tol."""

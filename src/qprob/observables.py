@@ -99,10 +99,10 @@ class ObservableValidation:
         return self.passed
 
 
-def _stacked(obs: Observable) -> tuple[np.ndarray, np.ndarray]:
+def _stacked(channels: tuple[Eventuality, ...]) -> tuple[np.ndarray, np.ndarray]:
     """U = [V_1 ... V_n] and the index of the channel that owns each column."""
-    ranks = [ch.rank for ch in obs.channels]
-    return np.hstack([ch.basis_matrix for ch in obs.channels]), np.repeat(np.arange(len(ranks)), ranks)
+    ranks = [ch.rank for ch in channels]
+    return np.hstack([ch.basis_matrix for ch in channels]), np.repeat(np.arange(len(ranks)), ranks)
 
 
 def validate_observable(obs: Observable, tol: float = INVARIANT_TOL) -> ObservableValidation:
@@ -112,7 +112,7 @@ def validate_observable(obs: Observable, tol: float = INVARIANT_TOL) -> Observab
     orthonormal bases), with its pair, the first NaN pair else the first
     largest; the completeness residual |U U^dag - I| = |sum P_i - I|; and
     any empty channels (Nielsen & Chuang, section 2.2.5)."""
-    u, owner = _stacked(obs)
+    u, owner = _stacked(obs.channels)
     n = obs.channel_count
     blocks = np.zeros((n, n))  # blocks[i, j]: the largest |V_i^dag V_j| entry; NaN propagates
     np.maximum.at(blocks, (owner[:, None], owner[None, :]), np.abs(u.conj().T @ u))
@@ -148,7 +148,7 @@ class QuantitativeObservable:
 
 def build_operator(q: QuantitativeObservable) -> Op:
     """The hermitian operator sum(value_i * projector_i) = U diag(values) U^dag."""
-    u, owner = _stacked(q.base)
+    u, owner = _stacked(q.base.channels)
     return Op(q.space, (u * np.array(q.values)[owner]) @ u.conj().T)
 
 

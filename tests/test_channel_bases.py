@@ -1,13 +1,16 @@
-"""Observables are checked and built through their channel bases.
+"""Observables are checked and built, and tables read, through their
+channel bases.
 
 `validate_observable`, `build_operator` and the commutation check read an
 observable from U = [V_1 ... V_n], its channel bases side by side, and
-build no channel's D x D projector. The projector formulas are kept here
-as the oracle: for orthonormal bases, |P_i P_j|_2 = |V_i^dag V_j|_2 and
-sum P_i = U U^dag (Nielsen & Chuang, section 2.2.5), and the commutator
-residual and the operator must agree with their projector forms within
-1e-12, on mixed ranks, null channels and observables lifted onto a
-composite.
+build no channel's D x D projector; so do `born`, `joint_matrix` and
+`conditional`. The projector formulas are kept here as the oracle: for
+orthonormal bases, |P_i P_j|_2 = |V_i^dag V_j|_2, sum P_i = U U^dag and
+tr(R P_i) is the sum of <v|R|v> over the columns v of V_i (Nielsen &
+Chuang, section 2.2.5). The commutator residual, the operator and the
+probability tables must agree with their projector forms within 1e-12, on
+mixed ranks, null channels and observables lifted onto a composite, and
+the tables also with `comp=`.
 """
 
 import tracemalloc
@@ -21,22 +24,29 @@ from hypothesis import strategies as st
 from qprob import (
     INVARIANT_TOL,
     PRESET_NAMES,
+    ZERO_PROBABILITY_THRESHOLD,
     CompositeSpace,
     Eventuality,
     HilbertSpace,
     Observable,
+    ProbabilityOperator,
     QuantitativeObservable,
     StructureError,
     Vec,
+    ZeroProbabilityError,
+    born,
     build_operator,
     cheb_norm,
+    conditional,
+    joint_matrix,
     lift,
+    lift_eventuality,
     load_file,
     load_preset,
     validate_observable,
 )
 from qprob.observables import _require_commuting
-from tests.helpers import rand_unitary
+from tests.helpers import rand_density, rand_unitary
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_FILES = sorted(
@@ -171,6 +181,76 @@ def test_basis_reads_match_the_projector_formulas(seed, dim, others, null, famil
             _require_commuting(obs, other, INVARIANT_TOL)
 
 
+def _lifted_projector(comp: CompositeSpace, k: int, ch: Eventuality) -> np.ndarray:
+    return np.kron(np.kron(np.eye(comp.dim_before(k)), _projector(ch)), np.eye(comp.dim_after(k)))
+
+
+def _refined(rng, space: HilbertSpace, null: bool) -> tuple[Observable, Observable]:
+    """A complete observable of mixed ranks on one unitary's columns, and a
+    coarse-graining of it that merges runs of its channels; each may hold
+    a null channel."""
+    u = rand_unitary(rng, space.dim)
+    cuts = [int(c) for c in np.cumsum([0, *_ranks(rng, space.dim, False)])]
+    coarse_cuts = [0, *[c for c in cuts[1:-1] if rng.random() < 0.5], space.dim]
+
+    def channels(cuts):
+        chans = [Eventuality(space, u[:, a:b]) for a, b in zip(cuts, cuts[1:])]
+        if null:
+            chans.insert(int(rng.integers(0, len(chans) + 1)), Eventuality.null(space))
+        return tuple(chans)
+
+    return Observable(space, channels(cuts)), Observable(space, channels(coarse_cuts))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
+    null=st.booleans(),
+    same_factor=st.booleans(),
+)
+def test_tables_match_the_projector_formulas(seed, dims, null, same_factor):
+    rng = np.random.default_rng(seed)
+    comp = CompositeSpace(tuple(HilbertSpace(d, f"f{k}") for k, d in enumerate(dims)))
+    k = int(rng.integers(0, len(dims)))
+    l = k if same_factor or len(dims) == 1 else int(rng.choice([j for j in range(len(dims)) if j != k]))
+    rows, cols = _refined(rng, comp.factors[k], null)
+    if l != k:
+        cols = _refined(rng, comp.factors[l], not null)[0]
+    prob = ProbabilityOperator.from_entries(comp.space, rand_density(rng, comp.space.dim))
+    p = prob.matrix.entries
+    e = [_lifted_projector(comp, k, ch) for ch in rows.channels]
+    f = [_lifted_projector(comp, l, ch) for ch in cols.channels]
+    lifted_rows, lifted_cols = lift(rows, comp, k), lift(cols, comp, l)
+
+    # born: tr(P E_i), on the factor with comp= and on the lift.
+    want = [np.trace(p @ ei).real for ei in e]
+    assert born(prob, rows, comp=comp) == pytest.approx(want, abs=1e-12)
+    assert born(prob, lifted_rows) == pytest.approx(want, abs=1e-12)
+    assert born(prob, rows.channels[-1], comp=comp) == pytest.approx(want[-1], abs=1e-12)
+
+    # joint_matrix: tr(P E_i F_j), on one space or on two factors.
+    want = [[np.trace(p @ ei @ fj).real for fj in f] for ei in e]
+    assert joint_matrix(prob, rows, cols, comp=comp).values == pytest.approx(np.array(want), abs=1e-12)
+    assert joint_matrix(prob, lifted_rows, lifted_cols).values == pytest.approx(np.array(want), abs=1e-12)
+
+    # conditional: tr(E P E F_j) / tr(P E), with the target on the given
+    # channel's factor or on another.
+    for ch, lifted_ch, ei in zip(rows.channels, lifted_rows.channels, e):
+        given_p = np.trace(p @ ei).real
+        if given_p <= ZERO_PROBABILITY_THRESHOLD:
+            with pytest.raises(ZeroProbabilityError):
+                conditional(prob, ch, cols, comp=comp)
+            continue
+        want = [np.trace(ei @ p @ ei @ fj).real / given_p for fj in f]
+        assert conditional(prob, ch, cols, comp=comp) == pytest.approx(want, abs=1e-12)
+        assert conditional(prob, lifted_ch, lifted_cols) == pytest.approx(want, abs=1e-12)
+
+    # No table keeps a projector on a channel it read.
+    channels = [*rows.channels, *cols.channels, *lifted_rows.channels, *lifted_cols.channels]
+    assert not [ch for ch in channels if "projector" in vars(ch)]
+
+
 def test_the_worst_pair_is_the_first_nan_pair_else_the_first_largest():
     s2, s3 = HilbertSpace(2), HilbertSpace(3)
     r = 1 / np.sqrt(2)
@@ -215,4 +295,22 @@ def test_validating_a_rank_one_basis_stays_small():
         tracemalloc.stop()
     assert report.passed
     assert peak < 4 * 2**20
+    assert not [ch for ch in obs.channels if "projector" in vars(ch)]
+
+
+def test_born_over_a_rank_one_basis_stays_small():
+    # d = 256 rank-1 channels: their projector stack alone would take 256 MiB.
+    space = HilbertSpace(256)
+    rng = np.random.default_rng(256)
+    u = rand_unitary(rng, space.dim)
+    obs = Observable(space, tuple(Eventuality(space, u[:, k : k + 1]) for k in range(space.dim)))
+    prob = ProbabilityOperator.from_entries(space, rand_density(rng, space.dim))
+    tracemalloc.start()
+    try:
+        probs = born(prob, obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert peak <= 10 * 10**6
     assert not [ch for ch in obs.channels if "projector" in vars(ch)]

@@ -221,13 +221,14 @@ def _engine_sites(match, module=qprob.engine) -> list:
     return found
 
 
-def test_engine_resolves_comp_once_and_reads_projectors_in_one_place():
+def test_engine_resolves_comp_once_and_reads_no_projector():
     def reads_projector(node):
         return isinstance(node, ast.Attribute) and node.attr == "projector"
 
     assert _engine_sites(lambda n: isinstance(n, ast.Compare) and ast.unparse(n) == "comp is None") == ["_composite"]
-    assert set(_engine_sites(reads_projector)) == {"_projectors"}
-    # Observables are checked and built through their channel bases.
+    # Tables are read, and observables checked and built, through their
+    # channel bases.
+    assert _engine_sites(reads_projector) == []
     assert _engine_sites(reads_projector, qprob.observables) == []
     # The one operator-versus-composite guard, besides the operator's own
     # matrix check and the transported eventuality's.

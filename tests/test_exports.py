@@ -3,7 +3,7 @@
 Each library module lists its exports in its own `__all__`, and
 `qprob.__all__` is `__version__` followed by those lists, so adding or
 dropping an export is one edit. Modules import no underscore-prefixed name
-from each other, except the two helpers pinned below. Importing `qprob`
+from each other, except the three helpers pinned below. Importing `qprob`
 loads the library modules only, not the command line or the renderer.
 """
 
@@ -43,11 +43,13 @@ EXPORTED_BEFORE = (
 
 # The underscore-prefixed names one module may import from another, as
 # (importing file, defining module, name): the PSD residual that
-# ProbabilityOperator shares with structure_check, and the commutation
-# check that joint tables share with conjoin.
+# ProbabilityOperator shares with structure_check, the commutation check
+# that joint tables share with conjoin, and the stacked channel bases that
+# tables share with the observable checks.
 PRIVATE_IMPORTS = {
     ("engine.py", "hilbert", "_psd_deficit"),
     ("engine.py", "observables", "_require_commuting"),
+    ("engine.py", "observables", "_stacked"),
 }
 
 

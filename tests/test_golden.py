@@ -14,6 +14,13 @@ file and shows the new bytes in review:
 which lists every case whose bytes changed against the file as it was,
 each with the largest absolute difference between its old and new
 numbers ("changed beyond its numbers" when more than numbers changed).
+For a case whose request prints probability tables it also lists how far
+the old and the new tables lie from the exact oracle of `tests/exact.py`,
+read from the case's json form.
+
+Every golden probability table (`gross`, `joint`, `conditional` and the
+channel probabilities of `luder`, all on spaces of D <= 16) is held within
+1e-15 of that oracle.
 """
 
 import functools
@@ -25,6 +32,7 @@ from pathlib import Path
 import pytest
 
 from qprob.cli import main
+from tests.exact import TABLE_COMMANDS, distance, tables
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "data" / "golden_outputs.json"
@@ -146,6 +154,22 @@ def test_error_matches_golden(argv, capsys):
     assert captured.err == case["stderr"]
 
 
+def _json_form(argv: list[str]) -> list[str]:
+    # The request with its output in json: every flag takes one value.
+    flags = [x for f, v in zip(argv[1::2], argv[2::2]) if f not in ("--format", "--precision") for x in (f, v)]
+    return [argv[0], *flags, "--format", "json"]
+
+
+@pytest.mark.parametrize(
+    "argv", [a for a in golden_argvs() if a[0] in TABLE_COMMANDS and a == _json_form(a)], ids=" ".join
+)
+def test_golden_tables_match_the_exact_oracle(argv, capsys):
+    exact = tables(argv)
+    assert distance(_load_golden()[" ".join(argv)]["stdout"], exact) <= 1e-15
+    main(_resolve(argv))
+    assert distance(capsys.readouterr().out, exact) <= 1e-15
+
+
 # A number as the three formats print it: text %g (complex as a+bj), csv
 # and json repr.
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
@@ -191,6 +215,7 @@ def _regenerate() -> None:
     # What changed against the file as it was: each case, and the largest
     # absolute difference between its numbers when nothing else changed.
     largest, changed = 0.0, 0
+    current = {" ".join(case["argv"]): case for case in cases}
     for case in cases:
         key = " ".join(case["argv"])
         old = previous.get(key)
@@ -209,6 +234,11 @@ def _regenerate() -> None:
         else:
             sys.stdout.write(f"changed: {key}: largest absolute difference {diff:.3e}\n")
             largest = max(largest, diff)
+        exact = tables(case["argv"])
+        if exact is not None:
+            twin = " ".join(_json_form(case["argv"]))
+            old_distance, new_distance = (distance(c[twin]["stdout"], exact) for c in (previous, current))
+            sys.stdout.write(f"  |old - exact| {old_distance:.3e}, |new - exact| {new_distance:.3e}\n")
     sys.stdout.write(f"{changed} of {len(cases)} cases changed; largest absolute difference {largest:.3e}\n")
 
 

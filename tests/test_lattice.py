@@ -36,6 +36,13 @@ def test_from_span_rejects_an_overflowing_norm(entry):
         Eventuality.from_span(S2, [KET1, Vec(S2, [entry, 0])])
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, -np.inf), complex(np.nan, 1)])
+def test_from_span_names_a_non_finite_component(entry):
+    # A NaN norm is not an overflow: the component itself is the fault.
+    with pytest.raises(ValueError, match="spanning vector has a non-finite component"):
+        Eventuality.from_span(S2, [KET1, [entry, 0]])
+
+
 def test_from_basis_states_projector():
     e = Eventuality.from_basis_states(S4, [0, 3])
     assert e.rank == 2
