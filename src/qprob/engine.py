@@ -15,7 +15,9 @@ a loud error, never a silent NaN.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -66,7 +68,7 @@ PSD_TOL = INVARIANT_TOL
 ZERO_PROBABILITY_THRESHOLD = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ProbabilityOperator:
     """A hermitian, unit-trace, positive semidefinite operator.
 
@@ -75,26 +77,55 @@ class ProbabilityOperator:
     TRACE_TOL of 1, smallest eigenvalue above -PSD_TOL. The reports of
     those checks are kept in `checks`, in that order.
 
-    The hermitian residual and the trace are read on the matrix, the
-    eigenvalues on `blocks` when it is given (None: on the matrix).
-    `blocks` are square matrices, or stacks of them, that the matrix lifts
-    to mutually orthogonal ranges: the compressed sandwiches W^dag P W of
-    `collapse`, `luder` and `branch_decompose`, a diagonal state's weights
-    as 1 x 1 blocks, or a pure state's squared norm as one. The matrix's
-    spectrum is theirs padded with zeros (Nielsen & Chuang, section 2.2.5).
-    `blocks` is not kept.
+    An operator is held as its matrix, or as a factor F and a divisor s
+    with P = F F^dag / s (`from_factor`). A pure state keeps psi with s = 1,
+    and the posteriors and the decoherence of a factored operator keep its
+    branch vectors, each divided by its probability once, through s: a pure
+    state is never squared. F F^dag / s is hermitian and positive
+    semidefinite by construction, so those residuals are 0, and the trace
+    is |F|_F^2 / s. `matrix` is formed from F on its first read.
+
+    For an operator given as its matrix, the hermitian residual and the
+    trace are read on the matrix, the eigenvalues on `blocks` when it is
+    given (None: on the matrix). `blocks` are square matrices, or stacks
+    of them, that the matrix lifts to mutually orthogonal ranges: the
+    compressed sandwiches W^dag P W of `collapse`, `luder` and
+    `branch_decompose`, or a diagonal state's weights as 1 x 1 blocks. The
+    matrix's spectrum is theirs padded with zeros (Nielsen & Chuang,
+    section 2.2.5). `blocks` is not kept.
     """
 
     space: HilbertSpace
-    matrix: Op
-    blocks: InitVar[tuple[np.ndarray, ...] | None] = None
-    checks: tuple[StructureReport, ...] = field(init=False)
+    factor: np.ndarray | None  # F, one row per basis state, or None
+    divisor: float  # s with P = F F^dag / s; 1 for a matrix
+    checks: tuple[StructureReport, ...]
+
+    def __init__(self, space: HilbertSpace, matrix: Op, blocks: tuple[np.ndarray, ...] | None = None):
+        for name, value in (("space", space), ("factor", None), ("divisor", 1.0), ("matrix", matrix)):
+            object.__setattr__(self, name, value)
+        self.__post_init__(blocks)
 
     def __post_init__(self, blocks):
-        if self.matrix.space != self.space:
-            raise SpaceMismatchError(f"matrix on {self.matrix.space} does not live on {self.space}")
-        skew = structure_check(self.matrix, "hermitian").residual
-        object.__setattr__(self, "checks", _require_invariants(self.matrix.entries, skew, blocks))
+        # The three checks, on the factor or on the matrix; every
+        # constructor ends here.
+        if self.factor is not None:
+            unit = StructureReport("unit-trace", abs(_weight(self.factor) / self.divisor - 1.0), TRACE_TOL)
+            unit.require("probability operator must have unit trace")
+            checks = (StructureReport("hermitian", 0.0, HERMITIAN_TOL), unit, StructureReport("psd", 0.0, PSD_TOL))
+        else:
+            if self.matrix.space != self.space:
+                raise SpaceMismatchError(f"matrix on {self.matrix.space} does not live on {self.space}")
+            skew = structure_check(self.matrix, "hermitian").residual
+            checks = _require_invariants(self.matrix.entries, skew, blocks)
+        object.__setattr__(self, "checks", checks)
+
+    @cached_property
+    def matrix(self) -> Op:
+        """P, formed as F F^dag / s for a factored operator."""
+        entries = self.factor @ self.factor.conj().T
+        if self.divisor != 1.0:
+            entries /= self.divisor
+        return Op(self.space, entries)
 
     # -- constructors -------------------------------------------------
 
@@ -103,9 +134,20 @@ class ProbabilityOperator:
         return cls(space, Op(space, entries), blocks)
 
     @classmethod
+    def from_factor(cls, space: HilbertSpace, factor, divisor: float = 1.0) -> "ProbabilityOperator":
+        """P = F F^dag / divisor, for F with one row per basis state of `space`."""
+        f = np.array(factor, dtype=np.complex128).reshape(space.dim, -1)
+        f.setflags(write=False)
+        op = cls.__new__(cls)
+        for name, value in (("space", space), ("factor", f), ("divisor", float(divisor))):
+            object.__setattr__(op, name, value)
+        op.__post_init__(None)
+        return op
+
+    @classmethod
     def pure(cls, state: Vec, tol: float = INVARIANT_TOL) -> "ProbabilityOperator":
         state.require_unit(tol)
-        return cls(state.space, state.outer(state), (np.array([[state.norm() ** 2]]),))
+        return cls.from_factor(state.space, state.components)
 
     @classmethod
     def isotropic(cls, space: HilbertSpace) -> "ProbabilityOperator":
@@ -146,6 +188,11 @@ def _require_invariants(a: np.ndarray, skew: float, blocks=None) -> tuple[Struct
     return herm, trace, StructureReport("psd", max(skew, deficit), PSD_TOL).require(f"{must} be positive semidefinite")
 
 
+def _weight(f: np.ndarray) -> float:
+    """|F|_F^2, the trace of F F^dag."""
+    return float(np.vdot(f, f).real)
+
+
 # -- tables through channel bases ----------------------------------------
 #
 # On a composite, a table over factor-local observables depends only on
@@ -154,16 +201,69 @@ def _require_invariants(a: np.ndarray, skew: float, blocks=None) -> tuple[Struct
 # factors k and l. A channel with basis V reads tr(R V V^dag) as the sum of
 # <v|R|v> over the columns v of V (section 2.2.5): with U = [V_1 ... V_n],
 # each channel's cells are summed in column order. No channel's projector is
-# built; two factors meet R through the outer products of their own columns.
+# built. For a factored P = F F^dag / s, the reduced operator is
+# R = M M^dag / s, with M being F with the kept factors' indices as rows and
+# every other index as columns (section 2.5). R is formed when it holds no
+# more entries than F, and read as a matrix is; otherwise <v|R|v> is read as
+# |v^dag M|^2 / s. Either way the divisor is applied once, to the finished
+# cells.
 
 
-def _channel_reads(r: np.ndarray, channels: tuple[Eventuality, ...], v: np.ndarray | None = None) -> np.ndarray:
+def _rows_of(f: np.ndarray, comp: CompositeSpace, keep: tuple[int, ...]) -> np.ndarray:
+    # M of the factor f of an operator on comp, for the factors `keep` in
+    # that order. A factor of dim 1 carries no index.
+    axes = [k for k, dim in enumerate(comp.dims) if dim > 1]
+    front = [axes.index(k) for k in keep if k in axes]
+    order = front + [a for a in range(len(axes) + 1) if a not in front]
+    boxed = f.reshape([comp.dims[k] for k in axes] + [-1])
+    return boxed.transpose(order).reshape(math.prod(comp.dims[k] for k in keep), -1)
+
+
+class _Reduced(NamedTuple):
+    entries: np.ndarray  # s R, or M with s R = M M^dag
+    factored: bool
+    divisor: float = 1.0  # s
+
+    @classmethod
+    def of_rows(cls, m: np.ndarray, divisor: float, room: int) -> "_Reduced":
+        """R = M M^dag / divisor, formed when it has at most `room` entries."""
+        if m.shape[0] ** 2 <= room:
+            return cls(m @ m.conj().T, False, divisor)
+        return cls(m, True, divisor)
+
+    def reads(self, u: np.ndarray) -> np.ndarray:
+        """s <u|R|u> for each column u of `u`."""
+        if self.factored:
+            t = u.conj().T @ self.entries
+            return (t.real**2 + t.imag**2).sum(axis=1)
+        return (u.conj() * (self.entries @ u)).real.sum(axis=0)
+
+    def between(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """s a^dag R b."""
+        if self.factored:
+            return (a.conj().T @ self.entries) @ (b.conj().T @ self.entries).conj().T
+        return a.conj().T @ self.entries @ b
+
+    def pairs(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """s <u_a w_b|R|u_a w_b> over the columns u_a of u and w_b of w, for R
+        on the product of their two spaces."""
+        n, m = u.shape[0], w.shape[0]
+        if self.factored:  # (u_a x w_b)^dag M, one BLAS product per factor
+            s = self.entries.shape[1]
+            t = w.conj().T @ (u.conj().T @ self.entries.reshape(n, m * s)).reshape(-1, m, s)
+            return (t.real**2 + t.imag**2).sum(axis=2)
+        # R's row and column index pairs meet the outer products of each factor's columns
+        r = self.entries.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
+        outers = [(v.conj()[:, None] * v).reshape(v.shape[0] ** 2, -1) for v in (u, w)]  # [(x, z), a]: conj(v_xa) v_za
+        return (outers[0].T @ r @ outers[1]).real
+
+
+def _channel_reads(r: _Reduced, channels: tuple[Eventuality, ...], v: np.ndarray | None = None) -> np.ndarray:
     # tr(R V_j V_j^dag) per channel; with v, of the bases compressed to v^dag V_j.
     u, owner = _stacked(channels)
-    u = u if v is None else v.conj().T @ u
     probs = np.zeros(len(channels))
-    np.add.at(probs, owner, (u.conj() * (r @ u)).real.sum(axis=0))
-    return probs
+    np.add.at(probs, owner, r.reads(u if v is None else v.conj().T @ u))
+    return probs / r.divisor
 
 
 def _composite(prob: ProbabilityOperator, comp: CompositeSpace | None) -> CompositeSpace:
@@ -175,10 +275,13 @@ def _composite(prob: ProbabilityOperator, comp: CompositeSpace | None) -> Compos
     return comp
 
 
-def _reduced(prob: ProbabilityOperator, comp: CompositeSpace | None, *spaces: HilbertSpace) -> np.ndarray:
+def _reduced(prob: ProbabilityOperator, comp: CompositeSpace | None, *spaces: HilbertSpace) -> _Reduced:
     # P reduced to the factors `spaces` of comp, in that order.
     comp = _composite(prob, comp)
-    return partial_trace(prob.matrix, comp, tuple(comp.factor_index(s) for s in spaces)).entries
+    keep = tuple(comp.factor_index(s) for s in spaces)
+    if prob.factor is not None:
+        return _Reduced.of_rows(_rows_of(prob.factor, comp, keep), prob.divisor, prob.factor.size)
+    return _Reduced(partial_trace(prob.matrix, comp, keep).entries, False)
 
 
 def born(prob: ProbabilityOperator, x, *, comp: CompositeSpace | None = None) -> float | np.ndarray:
@@ -198,6 +301,9 @@ def reduce_composite(state, comp: CompositeSpace, keep: int) -> ProbabilityOpera
         state = ProbabilityOperator.pure(state)
     if not isinstance(state, ProbabilityOperator):
         raise TypeError("reduce_composite needs a Vec or a ProbabilityOperator")
+    if state.factor is not None:  # M M^dag / s, held as M
+        m = _rows_of(state.factor, _composite(state, comp), (keep,))
+        return ProbabilityOperator.from_factor(comp.factors[keep], m, state.divisor)
     reduced = partial_trace(state.matrix, comp, keep)
     return ProbabilityOperator(reduced.space, reduced)
 
@@ -219,24 +325,48 @@ def _conditionable(p: float, threshold: float) -> float:
 # k and W = I x V x I, e P e = W (W^dag P W) W^dag: P is compressed once
 # to the range of W, of side r * D / n, and only a D x D output is lifted
 # back (Nielsen & Chuang, section 2.2.5). No lifted projector is built.
+# A factored P = F F^dag / s is compressed as G = W^dag F, so that
+# tr(e P e) = |G|_F^2 / s and e P e / tr(e P e) = (W G)(W G)^dag / |G|_F^2:
+# the posterior of a pure state keeps its branch vector W G = e psi, and
+# no D x D array is formed.
 
 
 class _Sandwich(NamedTuple):
-    block: np.ndarray  # W^dag P W
+    block: np.ndarray  # W^dag P W, or G for a factored P
     v: np.ndarray
     before: int  # the dimensions of the factors before and after V's
     after: int
+    divisor: float | None  # a factored P's s; None for a matrix
+
+    @property
+    def weight(self) -> float:
+        """tr(W^dag P W), or |G|_F^2 = s tr(e P e) for a factored P."""
+        return _weight(self.block) if self.factored else float(np.trace(self.block).real)
+
+    @property
+    def factored(self) -> bool:
+        return self.divisor is not None
 
     @property
     def probability(self) -> float:
-        return float(np.trace(self.block).real)  # tr(e P e)
+        """tr(e P e)."""
+        return self.weight / self.divisor if self.factored else self.weight
 
     def lift(self, y: np.ndarray) -> np.ndarray:
-        """W Y W^dag, on the space of P."""
+        """W Y W^dag, on the space of P; for a factored P, W Y."""
         (n, r), before, after = self.v.shape, self.before, self.after
+        if self.factored:
+            return (self.v @ y.reshape(before, r, after * y.shape[1])).reshape(before * n * after, y.shape[1])
         boxed = y.reshape(before, r, after, before, r, after)
         full = np.tensordot(np.tensordot(self.v, boxed, axes=(1, 1)), self.v.conj(), axes=(4, 1))  # n b a b a n
         return full.transpose(1, 0, 2, 3, 5, 4).reshape(before * n * after, before * n * after)
+
+    def posterior(self, space: HilbertSpace) -> ProbabilityOperator:
+        """e P e / tr(e P e), divided once."""
+        if self.factored:
+            return ProbabilityOperator.from_factor(space, self.lift(self.block), self.weight)
+        p = self.weight
+        return ProbabilityOperator.from_entries(space, self.lift(self.block) / p, (self.block / p,))
 
 
 def _sandwich(prob: ProbabilityOperator, e: Eventuality, comp: CompositeSpace | None) -> _Sandwich:
@@ -244,10 +374,14 @@ def _sandwich(prob: ProbabilityOperator, e: Eventuality, comp: CompositeSpace | 
     k = comp.factor_index(e.space)
     before, after = comp.dim_before(k), comp.dim_after(k)
     v, side = e.basis_matrix, before * e.rank * after  # a null e gives a 0 x 0 block
+    if prob.factor is not None:  # V^dag on the factor k index of F
+        cols = prob.factor.shape[1]
+        block = (v.conj().T @ prob.factor.reshape(before, v.shape[0], after * cols)).reshape(side, cols)
+        return _Sandwich(block, v, before, after, prob.divisor)
     boxed = prob.matrix.entries.reshape((before, v.shape[0], after) * 2)
     half = np.tensordot(v.conj(), boxed, axes=(0, 1))  # r, before, after, before, n, after
     block = np.tensordot(half, v, axes=(4, 0)).transpose(1, 0, 2, 3, 5, 4).reshape(side, side)
-    return _Sandwich(block, v, before, after)
+    return _Sandwich(block, v, before, after, None)
 
 
 class CollapseResult(NamedTuple):
@@ -269,7 +403,7 @@ def collapse(
     """
     s = _sandwich(prob, e, comp)
     p = _conditionable(s.probability, threshold)
-    return CollapseResult(ProbabilityOperator.from_entries(prob.space, s.lift(s.block) / p, (s.block / p,)), p)
+    return CollapseResult(s.posterior(prob.space), p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,15 +450,13 @@ def joint_matrix(
     if rows.space == cols.space:
         reduced = _reduced(prob, comp, rows.space)
         _require_commuting(rows, cols, tol)
-        cells = (u.conj().T @ w) * (w.conj().T @ reduced @ u).T  # C o M^T, C = U^dag W, M = W^dag R U
-    else:  # <u_a w_b|R|u_a w_b>: R's row and column index pairs meet the outer products of each factor's columns
-        n, m = rows.space.dim, cols.space.dim
-        reduced = _reduced(prob, comp, rows.space, cols.space).reshape(n, m, n, m).transpose(0, 2, 1, 3)
-        outers = [(v.conj()[:, None] * v).reshape(v.shape[0] ** 2, -1) for v in (u, w)]  # [(x, z), a]: conj(v_xa) v_za
-        cells = outers[0].T @ reduced.reshape(n * n, m * m) @ outers[1]
+        cells = ((u.conj().T @ w) * reduced.between(w, u).T).real  # C o M^T, C = U^dag W, M = W^dag R U
+    else:
+        reduced = _reduced(prob, comp, rows.space, cols.space)
+        cells = reduced.pairs(u, w)
     table = np.zeros((rows.channel_count, cols.channel_count))
-    np.add.at(table, (row_owner[:, None], col_owner), cells.real)  # per channel pair, in column order
-    return JointProbabilityMatrix(rows, cols, table)
+    np.add.at(table, (row_owner[:, None], col_owner), cells)  # per channel pair, in column order
+    return JointProbabilityMatrix(rows, cols, table / reduced.divisor)
 
 
 def conditional(
@@ -341,22 +473,34 @@ def conditional(
     gets the checks `collapse` runs on W X W^dag: the lift has X's trace and
     X's spectrum padded with zeros; its largest anti-hermitian entry is not
     unitarily invariant, so that residual is read on W (X - X^dag) W^dag.
-    Reduced to the target's factor, X gives the target probabilities.
+    For a factored P, X = G G^dag / |G|_F^2 passes them by construction
+    and is read as the factored operator it is. Reduced to the target's
+    factor, X gives the target probabilities.
     """
     comp = _composite(prob, comp)
     s = _sandwich(prob, given, comp)
-    posterior = s.block / _conditionable(s.probability, threshold)
-    _require_invariants(posterior, cheb_norm(s.lift(posterior - posterior.conj().T)))
+    p = _conditionable(s.probability, threshold)
     k = comp.factor_index(given.space)
     kept = CompositeSpace(comp.factors[:k] + (HilbertSpace(given.rank, "range"),) + comp.factors[k + 1:])
-    reduced = partial_trace(Op(kept.space, posterior), kept, comp.factor_index(target.space)).entries
-    return _channel_reads(reduced, target.channels, s.v if target.space == given.space else None)
+    t = comp.factor_index(target.space)
+    v = s.v if target.space == given.space else None
+    if s.factored:
+        reduced = _Reduced.of_rows(_rows_of(s.block, kept, (t,)), s.weight, prob.factor.size)
+        return _channel_reads(reduced, target.channels, v)
+    posterior = s.block / p
+    _require_invariants(posterior, cheb_norm(s.lift(posterior - posterior.conj().T)))
+    reduced = partial_trace(Op(kept.space, posterior), kept, t).entries
+    return _channel_reads(_Reduced(reduced, False), target.channels, v)
 
 
 def luder(prob: ProbabilityOperator, obs: Observable, *, comp: CompositeSpace | None = None) -> ProbabilityOperator:
     """Decohere over an observable: the sandwich sum of e P e over its
-    channels. Idempotent, and it preserves every channel probability."""
+    channels, factored by its branch vectors [W_1 G_1 ... W_n G_n] when P
+    is. Idempotent, and it preserves every channel probability."""
     sandwiches = [_sandwich(prob, ch, comp) for ch in obs.channels]
+    if prob.factor is not None:
+        branches = np.hstack([s.lift(s.block) for s in sandwiches])
+        return ProbabilityOperator.from_factor(prob.space, branches, prob.divisor)
     lifted = sum(s.lift(s.block) for s in sandwiches)
     return ProbabilityOperator.from_entries(prob.space, lifted, tuple(s.block for s in sandwiches))
 
@@ -395,17 +539,9 @@ def branch_decompose(
     probs = [s.probability for s in sandwiches]
     total = StructureReport("total", abs(sum(probs) - 1.0), INVARIANT_TOL)
     total.require("channel probabilities must total 1 (is the observable complete?)", ValueError)
-    posteriors = tuple(
-        None if p <= threshold else ProbabilityOperator.from_entries(prob.space, s.lift(s.block) / p, (s.block / p,))
-        for s, p in zip(sandwiches, probs)
-    )
-    branch_vectors = None
-    if vec is not None:  # V (V^dag psi) on the factor of each channel
-        psi = vec.components.reshape(sandwiches[0].before, obs.space.dim, sandwiches[0].after)
-        branch_vectors = tuple(
-            Vec(prob.space, np.einsum("xr,arb->axb", s.v, np.einsum("yr,ayb->arb", s.v.conj(), psi)).ravel())
-            for s in sandwiches
-        )
+    posteriors = tuple(None if p <= threshold else s.posterior(prob.space) for s, p in zip(sandwiches, probs))
+    # e_i psi = W_i G_i, on the factor of each channel
+    branch_vectors = None if vec is None else tuple(Vec(prob.space, s.lift(s.block).ravel()) for s in sandwiches)
     zero = tuple(i for i, p in enumerate(probs) if p <= threshold)
     return BranchDecomposition(obs, tuple(probs), posteriors, branch_vectors, zero, threshold)
 
@@ -413,16 +549,16 @@ def branch_decompose(
 def heisenberg_transport(x, u: Op, tol: float = INVARIANT_TOL):
     """Transport an eventuality or observable by a unitary: the projector
     maps to u^dag P u, so the basis columns map by u^dag. Non-unitary
-    input is rejected with its residual."""
+    input is rejected with its residual; the unitary is checked once."""
     structure_check(u, "unitary", tol).require("transport needs a unitary")
+    if not isinstance(x, (Eventuality, Observable)):
+        raise TypeError("heisenberg_transport needs an Eventuality or an Observable")
+    if x.space != u.space:  # an observable's channels live on its space
+        raise SpaceMismatchError(f"eventuality on {x.space} does not match unitary on {u.space}")
+    adjoint = u.entries.conj().T
     if isinstance(x, Eventuality):
-        if x.space != u.space:
-            raise SpaceMismatchError(f"eventuality on {x.space} does not match unitary on {u.space}")
-        return Eventuality(x.space, u.entries.conj().T @ x.basis_matrix)
-    if isinstance(x, Observable):
-        channels = tuple(heisenberg_transport(ch, u, tol) for ch in x.channels)
-        return Observable(x.space, channels, x.labels)
-    raise TypeError("heisenberg_transport needs an Eventuality or an Observable")
+        return Eventuality(x.space, adjoint @ x.basis_matrix)
+    return Observable(x.space, tuple(Eventuality(x.space, adjoint @ ch.basis_matrix) for ch in x.channels), x.labels)
 
 
 @dataclass(frozen=True)

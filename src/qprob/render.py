@@ -39,6 +39,7 @@ its text is held once beside the pieces it is made of.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain
 
@@ -170,21 +171,30 @@ def _row_keys(mask: np.ndarray) -> list[bytes]:
 def _row_texts(cells: np.ndarray, real: str, pair: str | None, join) -> list[str]:
     """Each row of `cells` as one string, made by one %-format call on the
     floats of that row that pass (see `_passing`), which become Python
-    numbers a row at a time. `join` turns a row's spellings into its
-    template; rows whose floats pass in the same places share one, and a
-    row that passes none is its template itself, with no call.
+    numbers a row at a time. `join` turns a row's spellings, gathered from
+    one array by its codes, into its template; rows whose floats pass in the
+    same places share one, and a row that passes none is its template
+    itself, with no call. A template that no later row shares is not kept:
+    a hermitian table's zero diagonal imaginary parts give every row a
+    pattern of its own, and its templates would hold the table's text twice.
     """
     spellings, flat, passes, codes = _passing(cells, real, pair)
     if passes is None:
         template = join([spellings[-1]] * cells.shape[1])
         return [template % tuple(row.tolist()) for row in flat]
     keys = _row_keys(passes)
-    last = dict(zip(keys, range(len(keys))))  # a row of each key
-    templates = {key: join([spellings[c] for c in codes[row].tolist()]) for key, row in last.items()}
+    spelled, counts, shared = np.array(spellings, object), Counter(keys), {}
     args = flat[passes]  # the passing floats, in row order
     ends = list(accumulate(key.count(1) for key in keys))
-    return [templates[key] % tuple(args[a:b].tolist()) if b > a else templates[key]
-            for key, a, b in zip(keys, [0, *ends], ends)]
+    texts = []
+    for row, (key, a, b) in enumerate(zip(keys, [0, *ends], ends)):
+        template = shared.get(key)
+        if template is None:
+            template = join(spelled[codes[row]].tolist())
+            if counts[key] > 1:
+                shared[key] = template
+        texts.append(template % tuple(args[a:b].tolist()) if b > a else template)
+    return texts
 
 
 def _text_table(out: list, table: RenderedTable, precision: int) -> None:

@@ -4,11 +4,17 @@ one thread or two.
 
 The scenario is a seeded 16 x 16 composite (D = 256) in a dense pure state,
 with a computational-basis observable on factor 1 and an observable on
-factor 2 whose channels are the columns of a random unitary. `luder` and
-`collapse` print D x D operators; `joint` and `conditional` print tables
-computed from reduced operators. The same composite in a dense density
-state (a 3.3 MB file, the heaviest payload a scenario carries) is
-collapsed too.
+factor 2 whose channels are the columns of a random unitary, each read by
+an observer. `luder`, `collapse` and `branches` print D x D operators,
+formed from the pure state's branch vectors as F F^dag; `gross`, `joint`,
+`conditional` and `net` print tables computed from reduced operators,
+M M^dag or |v^dag M|^2 with M the state vector reshaped. The same
+composite in a dense density state (a 3.3 MB file, the heaviest payload a
+scenario carries) is collapsed too.
+
+Every zero that a pure state's operator holds by structure, off the
+blocks of its branches, is +0.0, as the lifted sandwich wrote it, so csv
+and json print 0.0 there and never -0.0.
 
 A dense state on one space of dim 256, read through a basis of random
 rank-1 channels and a coarse-graining of it into two rank-128 channels,
@@ -25,6 +31,7 @@ import sys
 import numpy as np
 import pytest
 
+from qprob import branch_decompose, collapse, load_file, luder
 from tests.helpers import json_pairs, rand_density, rand_unitary
 
 N = 16
@@ -46,6 +53,11 @@ def _dense_scenario(kind: str = "pure") -> dict:
         "spaces": [{"id": "a", "dim": N}, {"id": "b", "dim": N}],
         "composite": ["a", "b"],
         "state": state,
+        "observers": [
+            {"id": "observer-a", "observable": "basis-a", "lifetime": 1.0, "perception_duration": 1.0},
+            {"id": "observer-b", "observable": "rotated-b", "lifetime": 2.0, "perception_duration": 0.5},
+        ],
+        "weighting": {"scheme": "entropic", "log_base": 2},
         "observables": [
             {
                 "id": "basis-a",
@@ -108,7 +120,15 @@ def _assert_thread_independent(doc: dict, command: list, tmp_path) -> None:
 
 @pytest.mark.parametrize(
     "command",
-    [["luder", "--obs", "rotated-b"], ["collapse", "--on", "rotated-b:r3"], ["joint"], ["conditional"]],
+    [
+        ["luder", "--obs", "rotated-b"],
+        ["collapse", "--on", "rotated-b:r3"],
+        ["branches", "--obs", "basis-a"],
+        ["gross"],
+        ["joint"],
+        ["conditional"],
+        ["net"],
+    ],
 )
 def test_csv_bytes_do_not_depend_on_blas_threads(command, tmp_path):
     _assert_thread_independent(_dense_scenario(), command, tmp_path)
@@ -121,3 +141,20 @@ def test_density_state_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
 @pytest.mark.parametrize("command", [["gross"], ["joint", "--rows", "basis", "--cols", "coarse"]])
 def test_single_space_tables_do_not_depend_on_blas_threads(command, tmp_path):
     _assert_thread_independent(_single_space_scenario(), command, tmp_path)
+
+
+def test_structural_zeros_of_pure_state_operators_are_positive(tmp_path):
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(_dense_scenario()), encoding="utf-8")
+    scn = load_file(path)
+    basis = scn.observables[0].observable  # its posteriors live on one block of rows and columns
+    operators = [
+        collapse(scn.state, basis.channels[3], comp=scn.composite).operator,
+        luder(scn.state, basis, comp=scn.composite),
+        *branch_decompose(scn.state, basis, comp=scn.composite).posteriors,
+    ]
+    for op in operators:
+        entries = op.matrix.entries
+        assert np.count_nonzero(entries == 0) >= N**3 * (N - 1)  # off the blocks
+        for part in (entries.real, entries.imag):
+            assert not np.signbit(part[part == 0]).any()

@@ -401,6 +401,20 @@ def test_heisenberg_transport_hadamard():
     assert cheb_norm(moved.projector.entries - want) < 1e-12
 
 
+def test_heisenberg_transport_checks_the_unitary_once(monkeypatch):
+    # One unitary check per observable, not one per channel; a non-unitary
+    # is still refused before anything is transported.
+    kinds = []
+    check = qprob.engine.structure_check
+    monkeypatch.setattr(qprob.engine, "structure_check", lambda m, kind, *a: kinds.append(kind) or check(m, kind, *a))
+    space = HilbertSpace(8, "h")
+    moved = heisenberg_transport(basis_observable(space), rand_unitary_op(np.random.default_rng(8), space))
+    assert kinds == ["unitary"] and moved.channel_count == 8
+    with pytest.raises(StructureError, match="transport needs a unitary: residual 3.000e"):
+        heisenberg_transport(basis_observable(space), Op(space, 2 * np.eye(8)))
+    assert kinds == ["unitary"] * 2
+
+
 def test_heisenberg_transport_picture_equivalence():
     # Schrodinger picture u P u^dag with fixed events matches Heisenberg
     # picture fixed P with transported events.

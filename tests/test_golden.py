@@ -18,9 +18,10 @@ For a case whose request prints probability tables it also lists how far
 the old and the new tables lie from the exact oracle of `tests/exact.py`,
 read from the case's json form.
 
-Every golden probability table (`gross`, `joint`, `conditional` and the
-channel probabilities of `luder`, all on spaces of D <= 16) is held within
-1e-15 of that oracle.
+Every golden table that the oracle computes (`gross`, `joint`,
+`conditional`, the channel probabilities and the operator of `luder`, the
+posterior of `collapse`, and the probabilities and posteriors of
+`branches`, all on spaces of D <= 16) is held within 1e-15 of it.
 """
 
 import functools

@@ -125,6 +125,21 @@ def test_a_posterior_on_one_block_matches_the_oracle():
             assert render(table, fmt, precision) == oracle.render(table, fmt, precision)
 
 
+def test_rows_of_distinct_zero_patterns_match_the_oracle():
+    # A pure state's posterior f f^dag: dense, with an exactly zero
+    # imaginary part on the diagonal only, so no two rows share a pattern
+    # of passing floats and no row's template is shared.
+    rng = np.random.default_rng(48)
+    f = rng.normal(size=48) + 1j * rng.normal(size=48)
+    cells = f[:, None] * f.conj()
+    cells[np.diag_indices(48)] = np.abs(f) ** 2
+    labels = [f"k{k}" for k in range(48)]
+    table = RenderedTable("posterior", labels, labels, cells)
+    for precision in (1, 6, 17):
+        for fmt in FORMATS:
+            assert render(table, fmt, precision) == oracle.render(table, fmt, precision)
+
+
 @settings(max_examples=300, deadline=None)
 @given(FLOATS, st.integers(1, 17))
 def test_format_number_is_the_text_of_a_one_cell_table(x, precision):
