@@ -189,8 +189,9 @@ def _require_invariants(a: np.ndarray, skew: float, blocks=None) -> tuple[Struct
 
 
 def _weight(f: np.ndarray) -> float:
-    """|F|_F^2, the trace of F F^dag."""
-    return float(np.vdot(f, f).real)
+    """|F|_F^2, the trace of F F^dag. numpy's own pairwise sum reads it, not
+    BLAS's dot product, whose threaded sum order depends on the thread count."""
+    return float((f.real**2 + f.imag**2).sum())
 
 
 # -- tables through channel bases ----------------------------------------

@@ -3,7 +3,8 @@
 An eventuality is a subspace, carried as a deterministically ordered
 orthonormal basis; its projector is formed when it is read, never kept.
 The lattice operations are meet (subspace intersection), join (span of
-the union), orthocomplement, and the implication partial order. A small
+the union), orthocomplement, and the implication partial order; each
+reads bases through thin products and forms no projector. A small
 classical (measure-theoretic) model ships alongside for contrast: there
 the sum rule for joins is exact, while the quantum join in general is not.
 """
@@ -80,7 +81,8 @@ class Eventuality:
     The constructor itself trusts columns already known orthonormal (basis
     transport, lifting, eigenvectors): it does not re-orthogonalize, so
     exact ranks and column order are preserved. Subspace identity is
-    tested with `equals` (projector comparison), never with basis identity.
+    tested with `equals` (ranks and the residual of one basis projected
+    onto the other), never with basis identity.
     """
 
     space: HilbertSpace
@@ -120,9 +122,9 @@ class Eventuality:
 
     @classmethod
     def from_basis_states(cls, space: HilbertSpace, indices) -> "Eventuality":
-        idx = list(indices)
-        eye = np.eye(space.dim, dtype=np.complex128)
-        return cls(space, eye[:, idx])
+        """Columns `indices` of the identity, built without the identity."""
+        dims = np.arange(space.dim)
+        return cls(space, np.equal.outer(dims, dims[list(indices)]))
 
     @classmethod
     def null(cls, space: HilbertSpace) -> "Eventuality":
@@ -157,22 +159,14 @@ class Eventuality:
     # -- lattice operations --------------------------------------------
 
     def meet(self, other: "Eventuality", tol: float = INVARIANT_TOL) -> "Eventuality":
-        """Subspace intersection.
-
-        A vector lies in both subspaces iff it is annihilated by
-        (2I - P1 - P2), which is hermitian positive semidefinite, so the
-        intersection is that matrix's eigenvalue-zero eigenspace. The
-        De Morgan route through complements and join must agree; tests
-        hold the two routes against each other.
-        """
+        """Subspace intersection through principal angles (Bjorck & Golub
+        1973): V1 u over the singular vectors u of V1^dag V2 with 1 - cos <= tol,
+        the kernel of 2I - P1 - P2 at tol, whose eigenvalues on a pair of
+        principal vectors are 1 -+ cos. Tests hold it to the De Morgan route."""
         self._require_same(other)
-        h = (
-            2.0 * np.eye(self.space.dim, dtype=np.complex128)
-            - self.projector.entries
-            - other.projector.entries
-        )
-        w, v = np.linalg.eigh(h)
-        return Eventuality(self.space, v[:, w <= tol])
+        va = self.basis_matrix
+        u, cos, _ = np.linalg.svd(va.conj().T @ other.basis_matrix, full_matrices=False)
+        return Eventuality(self.space, va @ u[:, 1.0 - cos <= tol])
 
     def join(self, other: "Eventuality", tol: float = INVARIANT_TOL) -> "Eventuality":
         """Span of the union (the smallest subspace containing both)."""
@@ -182,19 +176,22 @@ class Eventuality:
         return Eventuality(self.space, _pivoted_orthonormalize(cols, self.space.dim, tol))
 
     def orthocomplement(self, tol: float = INVARIANT_TOL) -> "Eventuality":
-        eye = Op.identity(self.space)
-        return Eventuality.from_projector(eye - self.projector, tol)
+        """The trailing columns of a complete QR of the basis V; a basis
+        with |V^dag V - I| > tol is not orthonormal and is refused."""
+        v = self.basis_matrix
+        gram = StructureReport("orthonormal", cheb_norm(v.conj().T @ v - np.eye(self.rank)), tol)
+        gram.require("basis is not orthonormal")
+        return Eventuality(self.space, np.linalg.qr(v, mode="complete")[0][:, self.rank :])
 
     def leq(self, other: "Eventuality", tol: float = INVARIANT_TOL) -> bool:
-        """Implication order: self <= other iff P2 P1 = P1."""
+        """Implication order: self <= other iff P2 V1 = V1."""
         self._require_same(other)
-        p = self.projector.entries  # formed once: projectors are not kept
-        return cheb_norm(other.projector.entries @ p - p) <= tol
+        v1, v2 = self.basis_matrix, other.basis_matrix
+        return cheb_norm(v2 @ (v2.conj().T @ v1) - v1) <= tol
 
     def equals(self, other: "Eventuality", tol: float = INVARIANT_TOL) -> bool:
-        """Same subspace, i.e. projectors agree within tol."""
-        self._require_same(other)
-        return cheb_norm(self.projector.entries - other.projector.entries) <= tol
+        """Same subspace: equal ranks, and self <= other within tol."""
+        return self.leq(other, tol) and self.rank == other.rank
 
     def _require_same(self, other: "Eventuality") -> None:
         if self.space != other.space:

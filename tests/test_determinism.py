@@ -21,6 +21,10 @@ rank-1 channels and a coarse-graining of it into two rank-128 channels,
 prints its `gross` and `joint` tables through the channel bases alone.
 `joint` needs two factors, so that space is paired with one of dim 1,
 which leaves every table on the one space.
+
+A pure state on a 100 x 120 composite (D = 12,000) prints its `check`
+residuals with the same bytes: OpenBLAS threads a dot product over a
+vector this long, so the unit trace |psi|^2 is not read through BLAS.
 """
 
 import json
@@ -102,6 +106,26 @@ def _single_space_scenario() -> dict:
     }
 
 
+def _long_pure_scenario(seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=100 * 120) + 1j * rng.normal(size=100 * 120)
+    eye = np.eye(100)
+    return {
+        "name": "pure-100x120",
+        "kind": "quantum",
+        "spaces": [{"id": "a", "dim": 100}, {"id": "b", "dim": 120}],
+        "composite": ["a", "b"],
+        "state": {"kind": "pure", "vector": json_pairs(psi / np.linalg.norm(psi))},
+        "observables": [
+            {
+                "id": "basis-a",
+                "space": "a",
+                "channels": [{"label": f"k{k}", "vectors": [json_pairs(eye[:, k])]} for k in range(100)],
+            }
+        ],
+    }
+
+
 def _assert_thread_independent(doc: dict, command: list, tmp_path) -> None:
     path = tmp_path / "dense.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -141,6 +165,13 @@ def test_density_state_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
 @pytest.mark.parametrize("command", [["gross"], ["joint", "--rows", "basis", "--cols", "coarse"]])
 def test_single_space_tables_do_not_depend_on_blas_threads(command, tmp_path):
     _assert_thread_independent(_single_space_scenario(), command, tmp_path)
+
+
+# Seeds whose unit-trace residual, read by BLAS's threaded dot product,
+# printed differently under one thread and two.
+@pytest.mark.parametrize("seed", [12001, 12006])
+def test_check_residuals_of_a_long_pure_state_do_not_depend_on_blas_threads(seed, tmp_path):
+    _assert_thread_independent(_long_pure_scenario(seed), ["check"], tmp_path)
 
 
 def test_structural_zeros_of_pure_state_operators_are_positive(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qprob.engine
+import qprob.lattice
 import qprob.observables
 from qprob import (
     CompositeSpace,
@@ -226,10 +227,11 @@ def test_engine_resolves_comp_once_and_reads_no_projector():
         return isinstance(node, ast.Attribute) and node.attr == "projector"
 
     assert _engine_sites(lambda n: isinstance(n, ast.Compare) and ast.unparse(n) == "comp is None") == ["_composite"]
-    # Tables are read, and observables checked and built, through their
-    # channel bases.
+    # Tables are read, observables checked and built, and the subspace
+    # lattice run, through bases.
     assert _engine_sites(reads_projector) == []
     assert _engine_sites(reads_projector, qprob.observables) == []
+    assert _engine_sites(reads_projector, qprob.lattice) == []
     # The one operator-versus-composite guard, besides the operator's own
     # matrix check and the transported eventuality's.
     raises = _engine_sites(lambda n: isinstance(n, ast.Raise) and "SpaceMismatchError" in ast.unparse(n))
