@@ -587,5 +587,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         sys.stderr.write(f"qprob: error: out of memory: {str(exc) or 'an allocation failed'}\n")
         return 2
-    sys.stdout.write(text)
+    # In 1 Mi-character slices: the text layer encodes each write whole.
+    for start in range(0, len(text), 1 << 20):
+        sys.stdout.write(text[start:start + (1 << 20)])
     return 0

@@ -15,7 +15,6 @@ a loud error, never a silent NaN.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -207,17 +206,7 @@ def _weight(f: np.ndarray) -> float:
 # every other index as columns (section 2.5). R is formed when it holds no
 # more entries than F, and read as a matrix is; otherwise <v|R|v> is read as
 # |v^dag M|^2 / s. Either way the divisor is applied once, to the finished
-# cells.
-
-
-def _rows_of(f: np.ndarray, comp: CompositeSpace, keep: tuple[int, ...]) -> np.ndarray:
-    # M of the factor f of an operator on comp, for the factors `keep` in
-    # that order. A factor of dim 1 carries no index.
-    axes = [k for k, dim in enumerate(comp.dims) if dim > 1]
-    front = [axes.index(k) for k in keep if k in axes]
-    order = front + [a for a in range(len(axes) + 1) if a not in front]
-    boxed = f.reshape([comp.dims[k] for k in axes] + [-1])
-    return boxed.transpose(order).reshape(math.prod(comp.dims[k] for k in keep), -1)
+# cells. M is `CompositeSpace.grouped` of F.
 
 
 class _Reduced(NamedTuple):
@@ -281,7 +270,7 @@ def _reduced(prob: ProbabilityOperator, comp: CompositeSpace | None, *spaces: Hi
     comp = _composite(prob, comp)
     keep = tuple(comp.factor_index(s) for s in spaces)
     if prob.factor is not None:
-        return _Reduced.of_rows(_rows_of(prob.factor, comp, keep), prob.divisor, prob.factor.size)
+        return _Reduced.of_rows(comp.grouped(prob.factor, keep), prob.divisor, prob.factor.size)
     return _Reduced(partial_trace(prob.matrix, comp, keep).entries, False)
 
 
@@ -303,7 +292,7 @@ def reduce_composite(state, comp: CompositeSpace, keep: int) -> ProbabilityOpera
     if not isinstance(state, ProbabilityOperator):
         raise TypeError("reduce_composite needs a Vec or a ProbabilityOperator")
     if state.factor is not None:  # M M^dag / s, held as M
-        m = _rows_of(state.factor, _composite(state, comp), (keep,))
+        m = _composite(state, comp).grouped(state.factor, (keep,))
         return ProbabilityOperator.from_factor(comp.factors[keep], m, state.divisor)
     reduced = partial_trace(state.matrix, comp, keep)
     return ProbabilityOperator(reduced.space, reduced)
@@ -326,7 +315,10 @@ def _conditionable(p: float, threshold: float) -> float:
 # k and W = I x V x I, e P e = W (W^dag P W) W^dag: P is compressed once
 # to the range of W, of side r * D / n, and only a D x D output is lifted
 # back (Nielsen & Chuang, section 2.2.5). No lifted projector is built.
-# A factored P = F F^dag / s is compressed as G = W^dag F, so that
+# Each product with W or W^dag is `comp.on_factor`, (I x a x I) f: once
+# for a factored P, and on both sides of a matrix m, the right-hand side
+# through the transpose, (A m) A^dag = (conj(A) (A m)^T)^T. A factored
+# P = F F^dag / s is compressed as G = W^dag F, so that
 # tr(e P e) = |G|_F^2 / s and e P e / tr(e P e) = (W G)(W G)^dag / |G|_F^2:
 # the posterior of a pure state keeps its branch vector W G = e psi, and
 # no D x D array is formed.
@@ -335,8 +327,8 @@ def _conditionable(p: float, threshold: float) -> float:
 class _Sandwich(NamedTuple):
     block: np.ndarray  # W^dag P W, or G for a factored P
     v: np.ndarray
-    before: int  # the dimensions of the factors before and after V's
-    after: int
+    comp: CompositeSpace  # P's composite, with V on its factor k
+    k: int
     divisor: float | None  # a factored P's s; None for a matrix
 
     @property
@@ -355,34 +347,26 @@ class _Sandwich(NamedTuple):
 
     def lift(self, y: np.ndarray) -> np.ndarray:
         """W Y W^dag, on the space of P; for a factored P, W Y."""
-        (n, r), before, after = self.v.shape, self.before, self.after
-        if self.factored:
-            return (self.v @ y.reshape(before, r, after * y.shape[1])).reshape(before * n * after, y.shape[1])
-        boxed = y.reshape(before, r, after, before, r, after)
-        full = np.tensordot(np.tensordot(self.v, boxed, axes=(1, 1)), self.v.conj(), axes=(4, 1))  # n b a b a n
-        return full.transpose(1, 0, 2, 3, 5, 4).reshape(before * n * after, before * n * after)
+        wy = self.comp.on_factor(self.k, self.v, y)
+        return wy if self.factored else self.comp.on_factor(self.k, self.v.conj(), wy.T).T
 
     def posterior(self, space: HilbertSpace) -> ProbabilityOperator:
         """e P e / tr(e P e), divided once."""
         if self.factored:
             return ProbabilityOperator.from_factor(space, self.lift(self.block), self.weight)
-        p = self.weight
-        return ProbabilityOperator.from_entries(space, self.lift(self.block) / p, (self.block / p,))
+        p, lifted = self.weight, self.lift(self.block)
+        lifted /= p  # in place: the lift is a fresh array
+        return ProbabilityOperator.from_entries(space, lifted, (self.block / p,))
 
 
 def _sandwich(prob: ProbabilityOperator, e: Eventuality, comp: CompositeSpace | None) -> _Sandwich:
     comp = _composite(prob, comp)
     k = comp.factor_index(e.space)
-    before, after = comp.dim_before(k), comp.dim_after(k)
-    v, side = e.basis_matrix, before * e.rank * after  # a null e gives a 0 x 0 block
-    if prob.factor is not None:  # V^dag on the factor k index of F
-        cols = prob.factor.shape[1]
-        block = (v.conj().T @ prob.factor.reshape(before, v.shape[0], after * cols)).reshape(side, cols)
-        return _Sandwich(block, v, before, after, prob.divisor)
-    boxed = prob.matrix.entries.reshape((before, v.shape[0], after) * 2)
-    half = np.tensordot(v.conj(), boxed, axes=(0, 1))  # r, before, after, before, n, after
-    block = np.tensordot(half, v, axes=(4, 0)).transpose(1, 0, 2, 3, 5, 4).reshape(side, side)
-    return _Sandwich(block, v, before, after, None)
+    v, a = e.basis_matrix, e.basis_matrix.conj().T  # a null e gives a 0 x 0 block
+    if prob.factor is not None:
+        return _Sandwich(comp.on_factor(k, a, prob.factor), v, comp, k, prob.divisor)
+    block = comp.on_factor(k, v.T, comp.on_factor(k, a, prob.matrix.entries).T).T
+    return _Sandwich(block, v, comp, k, None)
 
 
 class CollapseResult(NamedTuple):
@@ -478,15 +462,13 @@ def conditional(
     and is read as the factored operator it is. Reduced to the target's
     factor, X gives the target probabilities.
     """
-    comp = _composite(prob, comp)
     s = _sandwich(prob, given, comp)
     p = _conditionable(s.probability, threshold)
-    k = comp.factor_index(given.space)
-    kept = CompositeSpace(comp.factors[:k] + (HilbertSpace(given.rank, "range"),) + comp.factors[k + 1:])
-    t = comp.factor_index(target.space)
+    kept = CompositeSpace(s.comp.factors[:s.k] + (HilbertSpace(given.rank, "range"),) + s.comp.factors[s.k + 1:])
+    t = s.comp.factor_index(target.space)
     v = s.v if target.space == given.space else None
     if s.factored:
-        reduced = _Reduced.of_rows(_rows_of(s.block, kept, (t,)), s.weight, prob.factor.size)
+        reduced = _Reduced.of_rows(kept.grouped(s.block, (t,)), s.weight, prob.factor.size)
         return _channel_reads(reduced, target.channels, v)
     posterior = s.block / p
     _require_invariants(posterior, cheb_norm(s.lift(posterior - posterior.conj().T)))

@@ -1,8 +1,9 @@
 """Complex vectors and operators on small finite-dimensional Hilbert spaces.
 
 Values are immutable and every function is pure. The Kronecker convention
-is row-major (first factor is the slow index); all composite index
-arithmetic in the package derives from that single choice. Structural
+is row-major (first factor is the slow index); `CompositeSpace` holds the
+row layout it gives, through `on_factor`, `grouped` and `partial_trace`,
+and no other module lays out a composite's rows. Structural
 predicates (hermitian, unitary, projector, psd) are toleranced and report
 their defining residual in the Chebyshev (max absolute entry) norm.
 """
@@ -239,6 +240,25 @@ class CompositeSpace:
     def dim_after(self, index: int) -> int:
         return math.prod(f.dim for f in self.factors[index + 1:])
 
+    def on_factor(self, k: int, a: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """(I x a x I) f, with a on factor k: f's rows hold a.shape[1] values
+        of factor k's index, the result's rows a.shape[0]."""
+        before, after, cols = self.dim_before(k), self.dim_after(k), f.shape[1]
+        return (a @ f.reshape(before, a.shape[1], after * cols)).reshape(before * a.shape[0] * after, cols)
+
+    def grouped(self, f: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+        """f, one row per basis state, as M: the indices of the factors `keep`
+        as rows, in that order, and every other index, f's last, as columns."""
+        shape, front = self._boxed(keep)
+        order = front + [a for a in range(len(shape) + 1) if a not in front]
+        return f.reshape(shape + [-1]).transpose(order).reshape(math.prod(self.dims[k] for k in keep), -1)
+
+    def _boxed(self, keep: tuple[int, ...]) -> tuple[list[int], list[int]]:
+        # One axis per factor of dim > 1, since a factor of dim 1 carries no
+        # index: their dims, and the axes of the factors `keep` in that order.
+        axes = [k for k, dim in enumerate(self.dims) if dim > 1]
+        return [self.dims[k] for k in axes], [axes.index(k) for k in keep if k in axes]
+
     def factor_index(self, space: HilbertSpace) -> int:
         """Resolve the unique factor equal to `space`; ambiguity is an error."""
         hits = [i for i, f in enumerate(self.factors) if f == space]
@@ -281,19 +301,16 @@ def partial_trace(m: Op, comp: CompositeSpace, keep: int | tuple[int, ...]) -> O
         raise ValueError(f"keep indices {kept} must be distinct and not empty")
     if kept == tuple(range(n)):
         return m  # nothing to trace out
-    # One axis per factor of dim > 1; a factor of dim 1 carries no index.
-    # The einsum labels axes by position: axis a's row label is a, and so is
-    # its column label if its factor is traced out; the column labels of
-    # kept factors follow the rows', in keep order.
-    axes = [k for k, dim in enumerate(comp.dims) if dim > 1]
-    rows = [axes.index(k) for k in kept if k in axes]
-    cols = list(range(len(axes), len(axes) + len(rows)))
-    column = list(range(len(axes)))
+    # The einsum labels the boxed axes by position: axis a's row label is a,
+    # and so is its column label if its factor is traced out; the column
+    # labels of kept factors follow the rows', in keep order.
+    shape, rows = comp._boxed(kept)
+    cols = list(range(len(shape), len(shape) + len(rows)))
+    column = list(range(len(shape)))
     for r, label in zip(rows, cols):
         column[r] = label
     size = math.prod(comp.dims[k] for k in kept)
-    entries = m.entries.reshape([comp.dims[k] for k in axes] * 2)
-    reduced = np.einsum(entries, list(range(len(axes))) + column, rows + cols).reshape(size, size)
+    reduced = np.einsum(m.entries.reshape(shape * 2), list(range(len(shape))) + column, rows + cols).reshape(size, size)
     return Op(_product_space(*(comp.factors[k] for k in kept)), reduced)
 
 

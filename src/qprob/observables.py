@@ -206,10 +206,8 @@ def lift_eventuality(e: Eventuality, comp: CompositeSpace, factor: int | None = 
     re-orthogonalization is needed and rank scales by the traced-out
     dimension."""
     idx = _resolve_factor(comp, e.space, factor)
-    before = np.eye(comp.dim_before(idx), dtype=np.complex128)
-    after = np.eye(comp.dim_after(idx), dtype=np.complex128)
-    cols = np.kron(np.kron(before, e.basis_matrix), after)
-    return Eventuality(comp.space, cols)
+    identity = np.eye(comp.dim // e.space.dim * e.rank, dtype=np.complex128)
+    return Eventuality(comp.space, comp.on_factor(idx, e.basis_matrix, identity))
 
 
 def lift(obs: Observable, comp: CompositeSpace, factor: int | None = None) -> Observable:

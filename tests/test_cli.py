@@ -279,6 +279,27 @@ def test_running_out_of_memory_is_one_error_line(tmp_path):
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
+def test_a_report_is_not_held_twice_while_it_is_written():
+    # A child prints a 64 MiB report to /dev/null. The text layer encodes
+    # each write into a new bytes object, so writing the report in one piece
+    # would hold it twice; main's peak RSS must grow by less than 1.25 of it.
+    size = 64 * 1024**2
+    child = (
+        "import resource, sys\n"
+        "from qprob import cli\n"
+        f"cli.render_report = lambda report, fmt, precision: 'x' * {size}\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "code = cli.main(['gross', '--preset', 'coin'])\n"
+        "sys.stderr.write(f'{code} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before}')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", child], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=120)
+    code, grown_kib = map(int, proc.stderr.split())
+    assert code == 0
+    assert grown_kib * 1024 < 1.25 * size
+
+
 def test_zero_probability_collapse_exits_two(capsys, tmp_path):
     path = tmp_path / "dead-end.json"
     payload = {

@@ -10,7 +10,8 @@ formed from the pure state's branch vectors as F F^dag; `gross`, `joint`,
 `conditional` and `net` print tables computed from reduced operators,
 M M^dag or |v^dag M|^2 with M the state vector reshaped. The same
 composite in a dense density state (a 3.3 MB file, the heaviest payload a
-scenario carries) is collapsed too.
+scenario carries) is collapsed, decohered and read as a conditional table
+too: its D x D operator takes the matrix route of the sandwich.
 
 Every zero that a pure state's operator holds by structure, off the
 blocks of its branches, is +0.0, as the lifted sandwich wrote it, so csv
@@ -158,8 +159,11 @@ def test_csv_bytes_do_not_depend_on_blas_threads(command, tmp_path):
     _assert_thread_independent(_dense_scenario(), command, tmp_path)
 
 
-def test_density_state_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
-    _assert_thread_independent(_dense_scenario("density"), ["collapse", "--on", "rotated-b:r3"], tmp_path)
+@pytest.mark.parametrize(
+    "command", [["collapse", "--on", "rotated-b:r3"], ["luder", "--obs", "rotated-b"], ["conditional"]]
+)
+def test_density_state_csv_bytes_do_not_depend_on_blas_threads(command, tmp_path):
+    _assert_thread_independent(_dense_scenario("density"), command, tmp_path)
 
 
 @pytest.mark.parametrize("command", [["gross"], ["joint", "--rows", "basis", "--cols", "coarse"]])

@@ -238,6 +238,16 @@ def test_engine_resolves_comp_once_and_reads_no_projector():
     assert raises == ["__post_init__", "_composite", "heisenberg_transport"]
 
 
+def test_only_hilbert_lays_out_the_rows_of_a_composite():
+    # `CompositeSpace` holds the row layout (`on_factor`, `grouped`,
+    # `partial_trace`); no other module forms a Kronecker product or reads
+    # the dims around a factor.
+    layout = ("np.tensordot", "np.kron", ".dim_before(", ".dim_after(")
+    modules = sorted(Path(qprob.__file__).parent.glob("*.py"))
+    found = [m.name for m in modules if m.name != "hilbert.py" and any(w in m.read_text(encoding="utf-8") for w in layout)]
+    assert found == []
+
+
 def test_conditional_frozen_master_table():
     # master(4) x cat(2); the dreaming master sees nothing, so both cat
     # channels stay equally likely after conditioning.
